@@ -42,6 +42,7 @@
 use crate::dict::UNKNOWN_TOKEN;
 use crate::fuzzy::FuzzyConfig;
 use crate::matcher::EntityMatcher;
+use crate::window_cache::WindowCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -570,22 +571,18 @@ impl SegmentedDict {
         if self.segments.is_empty() {
             return;
         }
-        let base = self.compile_merged();
-        self.install_compacted(base);
+        let base = self.compaction_input().compile();
+        let merged = Arc::new(base.clone());
+        self.install_compacted(base, merged);
     }
 
-    /// Compiles the merged surface set as a standalone matcher,
-    /// carrying over the fuzzy config and shared window cache.
-    fn compile_merged(&self) -> EntityMatcher {
-        let pairs = self.merged_pairs();
-        let m = EntityMatcher::from_pairs(pairs);
-        let m = match self.base.fuzzy_config() {
-            Some(config) => m.with_fuzzy(config.clone()),
-            None => m,
-        };
-        match self.base.window_cache() {
-            Some(cache) => m.with_shared_window_cache(Arc::clone(cache)),
-            None => m,
+    /// An owned copy of everything a compaction compiles, so the
+    /// compile itself can run with no lock held.
+    fn compaction_input(&self) -> CompactionInput {
+        CompactionInput {
+            pairs: self.merged_pairs(),
+            fuzzy: self.base.fuzzy_config().cloned(),
+            window_cache: self.base.window_cache().map(Arc::clone),
         }
     }
 
@@ -607,16 +604,25 @@ impl SegmentedDict {
         pairs
     }
 
-    /// Installs an already-compiled merged base, clearing the chain.
-    /// The lineage and revision are preserved: compaction changes the
-    /// representation, not the resolution.
-    fn install_compacted(&mut self, base: EntityMatcher) {
-        self.base = base;
+    /// Installs an already-compiled merged base and its serving
+    /// snapshot, clearing the chain. The lineage and revision are
+    /// preserved: compaction changes the representation, not the
+    /// resolution. Returns the retired base and snapshot, so a caller
+    /// holding a lock can drop them after releasing it.
+    fn install_compacted(
+        &mut self,
+        base: EntityMatcher,
+        merged: Arc<EntityMatcher>,
+    ) -> (EntityMatcher, Arc<EntityMatcher>) {
+        let retired = (
+            std::mem::replace(&mut self.base, base),
+            std::mem::replace(&mut self.merged, merged),
+        );
         self.segments.clear();
         self.overlay_map.clear();
         self.epoch = 0;
         self.compactions += 1;
-        self.merged = Arc::new(self.base.clone());
+        retired
     }
 
     /// Replaces the base with unrelated content (a newly mined
@@ -673,6 +679,30 @@ impl SegmentedDict {
             epoch: self.epoch,
             revision: self.revision,
             compactions: self.compactions,
+        }
+    }
+}
+
+/// The merged surface set plus the base's build settings (fuzzy config,
+/// shared window cache): the input of one compaction.
+struct CompactionInput {
+    pairs: Vec<(String, EntityId)>,
+    fuzzy: Option<FuzzyConfig>,
+    window_cache: Option<Arc<WindowCache>>,
+}
+
+impl CompactionInput {
+    /// Compiles the merged surface set as a standalone matcher,
+    /// carrying over the fuzzy config and shared window cache.
+    fn compile(self) -> EntityMatcher {
+        let m = EntityMatcher::from_pairs(self.pairs);
+        let m = match self.fuzzy {
+            Some(config) => m.with_fuzzy(config),
+            None => m,
+        };
+        match self.window_cache {
+            Some(cache) => m.with_shared_window_cache(cache),
+            None => m,
         }
     }
 }
@@ -830,6 +860,13 @@ impl DictHandle {
         self.read().revision()
     }
 
+    /// `(lineage, revision)`, read under one lock: where the dictionary
+    /// stands, without cloning the serving snapshot.
+    pub fn position(&self) -> (u64, u64) {
+        let dict = self.read();
+        (dict.lineage(), dict.revision())
+    }
+
     /// Lineage identity.
     pub fn lineage(&self) -> u64 {
         self.read().lineage()
@@ -874,9 +911,7 @@ impl DictHandle {
     }
 
     /// Spawns a background compaction when the chain has grown past
-    /// the threshold and none is already in flight. The merge
-    /// compiles outside the lock from a pinned snapshot of the merged
-    /// surface set, then installs only if no commit raced past it.
+    /// the threshold and none is already in flight.
     fn maybe_spawn_compact(&self) {
         let threshold = self.inner.auto_compact.load(Ordering::Relaxed);
         if threshold == 0 {
@@ -893,19 +928,37 @@ impl DictHandle {
         }
         let inner = Arc::clone(&self.inner);
         std::thread::spawn(move || {
-            let (lineage, revision, compiled) = {
-                let dict = inner.dict.read().expect("dict handle poisoned");
-                (dict.lineage(), dict.revision(), dict.compile_merged())
-            };
-            let mut dict = inner.dict.write().expect("dict handle poisoned");
-            // A racing commit or base replacement made this compile
-            // stale: abandon it, the next commit re-triggers.
-            if dict.lineage() == lineage && dict.revision() == revision && dict.epoch() > 0 {
-                dict.install_compacted(compiled);
-            }
-            drop(dict);
+            inner.compact_unlocked(CompactionInput::compile);
             inner.merging.store(false, Ordering::Release);
         });
+    }
+}
+
+impl HandleInner {
+    /// One background compaction. The merged surface set is copied
+    /// under the read lock; `compile` runs with no lock held, so reads
+    /// and commits proceed while it works; the result is installed
+    /// under a short write lock unless a commit or base replacement
+    /// raced past the copy (then it is abandoned, and the next commit
+    /// re-triggers). Whatever is retired — the old base and snapshot,
+    /// or an abandoned compile — is dropped after the write lock is
+    /// released.
+    fn compact_unlocked(&self, compile: impl FnOnce(CompactionInput) -> EntityMatcher) {
+        let (lineage, revision, input) = {
+            let dict = self.dict.read().expect("dict handle poisoned");
+            (dict.lineage(), dict.revision(), dict.compaction_input())
+        };
+        let base = compile(input);
+        let merged = Arc::new(base.clone());
+        let mut dict = self.dict.write().expect("dict handle poisoned");
+        let retired =
+            if dict.lineage() == lineage && dict.revision() == revision && dict.epoch() > 0 {
+                Some(dict.install_compacted(base, merged))
+            } else {
+                None
+            };
+        drop(dict);
+        drop(retired);
     }
 }
 
@@ -1034,6 +1087,64 @@ mod tests {
         let m = handle.matcher();
         assert_eq!(m.lookup("surface number 0"), Some(EntityId::new(10)));
         assert_eq!(m.lookup("surface number 1"), Some(EntityId::new(11)));
+    }
+
+    #[test]
+    fn reads_and_commits_proceed_while_a_compaction_compiles() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const DEADLINE: Duration = Duration::from_secs(30);
+        let handle = DictHandle::new(base());
+        handle.set_auto_compact(0);
+        let mut d = DictDelta::new();
+        d.upsert("new movie", EntityId::new(5));
+        handle.apply(d);
+        // Hold the compile open until the test releases it.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let inner = Arc::clone(&handle.inner);
+        let compaction = std::thread::spawn(move || {
+            inner.compact_unlocked(|input| {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                input.compile()
+            });
+        });
+        started_rx.recv_timeout(DEADLINE).expect("compile started");
+        // A commit mid-compile: a writer queued behind a lock held by
+        // the compile would also queue every later reader behind it.
+        let (done_tx, done_rx) = mpsc::channel();
+        let writer = handle.clone();
+        let commit = std::thread::spawn(move || {
+            let mut d = DictDelta::new();
+            d.upsert("newer movie", EntityId::new(6));
+            writer.apply(d);
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(DEADLINE)
+            .expect("commit completes while the compile is held open");
+        commit.join().unwrap();
+        let m = handle.matcher();
+        assert_eq!(m.lookup("newer movie"), Some(EntityId::new(6)));
+        assert_eq!(handle.sync(handle.lineage(), 0).revision, 2);
+        assert_eq!(handle.stats().segments, 2);
+        release_tx.send(()).unwrap();
+        compaction.join().unwrap();
+        // The commit raced past the copy, so the compile is abandoned.
+        let stats = handle.stats();
+        assert_eq!((stats.compactions, stats.segments), (0, 2));
+        assert_eq!(
+            handle.matcher().lookup("newer movie"),
+            Some(EntityId::new(6))
+        );
+        // Unraced, the same path installs the merged base.
+        handle.inner.compact_unlocked(CompactionInput::compile);
+        let stats = handle.stats();
+        assert_eq!((stats.compactions, stats.segments), (1, 0));
+        let m = handle.matcher();
+        assert_eq!(m.lookup("new movie"), Some(EntityId::new(5)));
+        assert_eq!(m.lookup("newer movie"), Some(EntityId::new(6)));
     }
 
     #[test]

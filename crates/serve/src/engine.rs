@@ -25,14 +25,15 @@
 //!   (the `Cow` fast path) on the segmenter side.
 //!
 //! **Cache invalidation follows the dictionary's own granularity.**
-//! Each batch synchronizes the cache with the handle ([`Engine::sync`]
-//! internally): a *lineage* change (new base artifact) wholesale-
-//! invalidates, because nothing cached is trustworthy; a *revision*
-//! advance (delta commits) merely advances the cache generation and
-//! remembers each delta's [`DeltaFootprint`] — cached results whose
-//! keys the footprints provably cannot affect are *promoted* (re-
-//! stamped, served) on their next lookup instead of recomputed, so a
-//! ten-surface delta does not cold-start a four-thousand-entry cache.
+//! Every probe and every batch of misses synchronizes the cache with
+//! the handle ([`Engine::sync`] internally): a *lineage* change (new
+//! base artifact) wholesale-invalidates, because nothing cached is
+//! trustworthy; a *revision* advance (delta commits) merely advances
+//! the cache generation and remembers each delta's [`DeltaFootprint`]
+//! — cached results whose keys the footprints provably cannot affect
+//! are *promoted* (re-stamped, served) on their next lookup instead of
+//! recomputed, so a ten-surface delta does not cold-start a
+//! four-thousand-entry cache.
 //!
 //! Cached and uncached paths return byte-identical results: the cache
 //! stores exactly what the matcher produced (and the renderings
@@ -176,11 +177,12 @@ impl EngineBuilder {
 }
 
 /// The engine-side slice of one request's stage breakdown, filled by
-/// [`Engine::resolve_rendered_batch_timed`]. On a result-cache hit only
+/// [`Engine::resolve_rendered_batch_timed`] (and, without the probe,
+/// by [`Engine::resolve_misses`]). On a result-cache hit only
 /// `cache_us` is nonzero — the segment and render stages never ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTiming {
-    /// Normalize + result-cache probe, microseconds.
+    /// Dictionary sync + normalize + result-cache probe, microseconds.
     pub cache_us: u64,
     /// Matcher segmentation, microseconds (0 on a hit).
     pub segment_us: u64,
@@ -206,6 +208,32 @@ struct ServedState {
     /// Entries stamped below this generation predate the log's reach
     /// (or the last wholesale invalidation) and are never promoted.
     floor: u64,
+}
+
+/// The cache side of an [`Engine::sync`] snapshot: the generation
+/// results are inserted at, and the promotion rule (floor + footprint
+/// log) hits are checked against.
+struct CacheView {
+    generation: u64,
+    floor: u64,
+    log: Arc<Vec<(u64, Arc<DeltaFootprint>)>>,
+}
+
+/// One [`Engine::sync`] snapshot: the matcher to resolve misses with,
+/// coherent with the cache view.
+struct Served {
+    matcher: Arc<EntityMatcher>,
+    cache: CacheView,
+}
+
+/// What [`Engine::probe`] found for one read.
+#[derive(Debug)]
+pub enum Probe {
+    /// A result-cache hit: every wire rendering, ready to write.
+    Hit(Rendered),
+    /// A miss: the normalized query — the key
+    /// [`Engine::resolve_misses`] resolves and caches the result under.
+    Miss(String),
 }
 
 /// A live-updatable dictionary + result cache, shared by every
@@ -301,10 +329,10 @@ impl Engine {
     }
 
     /// Synchronizes the result cache with the dictionary handle and
-    /// returns a coherent `(matcher, generation, floor, log)`
-    /// snapshot: results computed by this matcher may be inserted at
-    /// this generation, and promotion decisions against this log are
-    /// sound for entries at or above this floor.
+    /// returns a coherent [`Served`] snapshot: results computed by its
+    /// matcher may be inserted at its generation, and promotion
+    /// decisions against its log are sound for entries at or above its
+    /// floor.
     ///
     /// - lineage change (unrelated base installed): wholesale
     ///   invalidation — bump + sweep, empty log;
@@ -316,15 +344,7 @@ impl Engine {
     ///
     /// The cache generation only ever moves under the `served` mutex,
     /// which is what makes the returned snapshot race-free.
-    #[allow(clippy::type_complexity)]
-    fn sync(
-        &self,
-    ) -> (
-        Arc<EntityMatcher>,
-        u64,
-        u64,
-        Arc<Vec<(u64, Arc<DeltaFootprint>)>>,
-    ) {
+    fn sync(&self) -> Served {
         let mut st = self.served.lock().expect("served state poisoned");
         let view = self.dict.sync(st.lineage, st.revision);
         if view.lineage != st.lineage {
@@ -357,12 +377,34 @@ impl Engine {
             }
             st.revision = view.revision;
         }
-        (
-            view.matcher,
-            self.cache.generation(),
-            st.floor,
-            Arc::clone(&st.log),
-        )
+        Served {
+            matcher: view.matcher,
+            cache: self.view_of(&st),
+        }
+    }
+
+    /// [`Engine::sync`] for a probe, which needs no matcher. While the
+    /// handle has not moved since the last sync (every read but the
+    /// first after a commit), the cache view is read without cloning
+    /// the serving snapshot: a connection thread then holds no matcher,
+    /// so it cannot be the one left to free a base that a compaction
+    /// retired.
+    fn sync_cache(&self) -> CacheView {
+        {
+            let st = self.served.lock().expect("served state poisoned");
+            if self.dict.position() == (st.lineage, st.revision) {
+                return self.view_of(&st);
+            }
+        }
+        self.sync().cache
+    }
+
+    fn view_of(&self, st: &ServedState) -> CacheView {
+        CacheView {
+            generation: self.cache.generation(),
+            floor: st.floor,
+            log: Arc::clone(&st.log),
+        }
     }
 
     /// Stages and publishes `delta` through the handle, then
@@ -477,74 +519,132 @@ impl Engine {
         self.resolve_inner(queries, Some(timings))
     }
 
+    /// Probes the result cache for one raw query: synchronizes with the
+    /// dictionary handle, normalizes, and looks the key up at the
+    /// current generation (promoting an older entry the intervening
+    /// deltas provably leave unchanged). Counts exactly one hit or one
+    /// miss and records the `cache_lookup` stage; also returns that
+    /// stage's duration in microseconds. This is the server's
+    /// connection-thread entry point: a hit is answered on the spot, a
+    /// miss is queued with its key for [`Engine::resolve_misses`].
+    pub fn probe(&self, query: &str) -> (Probe, u64) {
+        let start = Instant::now();
+        let view = self.sync_cache();
+        self.probe_at(&view, query, start)
+    }
+
+    /// Resolves normalized keys that [`Engine::probe`] reported as
+    /// misses, without probing the cache again: segments each against
+    /// one dictionary snapshot (sharing one [`MatchScratch`]), renders
+    /// every wire format, fills the cache (generation-checked, so a
+    /// result from a snapshot a newer delta retired is never stored),
+    /// and hands `(index into keys, rendering, stage timing)` to `emit`
+    /// as soon as that key is done — a caller can answer each read
+    /// without waiting for the rest. The timing's `cache_us` is 0: the
+    /// probe ran elsewhere.
+    pub fn resolve_misses<S: AsRef<str>>(
+        &self,
+        keys: &[S],
+        mut emit: impl FnMut(usize, Rendered, StageTiming),
+    ) {
+        let served = self.sync();
+        let mut scratch = MatchScratch::new();
+        for (i, key) in keys.iter().enumerate() {
+            let (rendered, timing) = self.resolve_at(&served, key.as_ref(), &mut scratch);
+            emit(i, rendered, timing);
+        }
+    }
+
     fn resolve_inner<S: AsRef<str>>(
         &self,
         queries: &[S],
         mut timings: Option<&mut Vec<StageTiming>>,
     ) -> Vec<Rendered> {
-        let (matcher, generation, floor, log) = self.sync();
+        // One snapshot for the whole batch, so a batch never mixes two
+        // dictionary revisions.
+        let served = self.sync();
         let mut scratch = MatchScratch::new();
         queries
             .iter()
             .map(|query| {
-                let probe_start = Instant::now();
-                let normalized = normalized(query.as_ref());
-                // Generation-checked lookup: if a dictionary change
-                // landed mid-batch, a plain hit could carry
-                // new-dictionary spans and mix two revisions within
-                // one batch — the generation check rejects (and
-                // counts a miss) instead, and the query is recomputed
-                // against the snapshot. An entry stamped at an older
-                // generation of the *same* lineage is promoted when
-                // every intervening delta's footprint provably leaves
-                // this key's result unchanged.
-                let probe = self
-                    .cache
-                    .get_at_or_promote(generation, &normalized, |key, stamp| {
-                        stamp >= floor
-                            && log
-                                .iter()
-                                .all(|(gen, fp)| *gen <= stamp || !fp.affects_query(key))
-                    });
-                let cache_us = as_us(probe_start.elapsed());
-                self.metrics.cache_lookup.record(cache_us);
-                if let Some(hit) = probe {
-                    // Hit: segment and render never ran, so only the
-                    // lookup stage is recorded — zeros would dilute the
-                    // miss-path stage distributions.
-                    if let Some(timings) = timings.as_deref_mut() {
-                        timings.push(StageTiming {
-                            cache_us,
-                            ..StageTiming::default()
-                        });
-                    }
-                    return hit;
-                }
-                let segment_start = Instant::now();
-                let spans = Arc::new(
-                    matcher.resolve(SegmentRequest::normalized(&normalized).scratch(&mut scratch)),
-                );
-                let segment_us = as_us(segment_start.elapsed());
-                self.metrics.segment.record(segment_us);
-                let render_start = Instant::now();
-                let entry = Rendered {
-                    line: Arc::from(format_spans(&spans).as_str()),
-                    http: Arc::from(http::response(200, "OK", &http::spans_json(&spans)).as_str()),
-                    spans,
+                let (probe, cache_us) =
+                    self.probe_at(&served.cache, query.as_ref(), Instant::now());
+                // A hit records only the lookup stage: segment and
+                // render never ran, and zeros would dilute the
+                // miss-path stage distributions.
+                let (rendered, timing) = match probe {
+                    Probe::Hit(hit) => (hit, StageTiming::default()),
+                    Probe::Miss(key) => self.resolve_at(&served, &key, &mut scratch),
                 };
-                self.cache.insert_at(generation, &normalized, entry.clone());
-                let render_us = as_us(render_start.elapsed());
-                self.metrics.render.record(render_us);
                 if let Some(timings) = timings.as_deref_mut() {
-                    timings.push(StageTiming {
-                        cache_us,
-                        segment_us,
-                        render_us,
-                    });
+                    timings.push(StageTiming { cache_us, ..timing });
                 }
-                entry
+                rendered
             })
             .collect()
+    }
+
+    /// The probe against an already-synchronized snapshot; the stage
+    /// clock started at `start`.
+    fn probe_at(&self, view: &CacheView, query: &str, start: Instant) -> (Probe, u64) {
+        let normalized = normalized(query);
+        // Generation-checked lookup: if a dictionary change landed
+        // after the snapshot, a plain hit could carry spans of a newer
+        // revision than the snapshot's — the generation check rejects
+        // (and counts a miss) instead, and the query is recomputed. An
+        // entry stamped at an older generation of the *same* lineage
+        // is promoted when every intervening delta's footprint
+        // provably leaves this key's result unchanged.
+        let hit = self
+            .cache
+            .get_at_or_promote(view.generation, &normalized, |key, stamp| {
+                stamp >= view.floor
+                    && view
+                        .log
+                        .iter()
+                        .all(|(gen, fp)| *gen <= stamp || !fp.affects_query(key))
+            });
+        let cache_us = as_us(start.elapsed());
+        self.metrics.cache_lookup.record(cache_us);
+        let probe = match hit {
+            Some(hit) => Probe::Hit(hit),
+            None => Probe::Miss(normalized.into_owned()),
+        };
+        (probe, cache_us)
+    }
+
+    /// Segments, renders and caches one normalized key against the
+    /// snapshot.
+    fn resolve_at(
+        &self,
+        served: &Served,
+        key: &str,
+        scratch: &mut MatchScratch,
+    ) -> (Rendered, StageTiming) {
+        let segment_start = Instant::now();
+        let spans = Arc::new(
+            served
+                .matcher
+                .resolve(SegmentRequest::normalized(key).scratch(scratch)),
+        );
+        let segment_us = as_us(segment_start.elapsed());
+        self.metrics.segment.record(segment_us);
+        let render_start = Instant::now();
+        let entry = Rendered {
+            line: Arc::from(format_spans(&spans).as_str()),
+            http: Arc::from(http::response(200, "OK", &http::spans_json(&spans)).as_str()),
+            spans,
+        };
+        self.cache
+            .insert_at(served.cache.generation, key, entry.clone());
+        let render_us = as_us(render_start.elapsed());
+        self.metrics.render.record(render_us);
+        let timing = StageTiming {
+            cache_us: 0,
+            segment_us,
+            render_us,
+        };
+        (entry, timing)
     }
 
     /// Aggregated cache counters.

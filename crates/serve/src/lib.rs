@@ -17,9 +17,10 @@
 //!   (`Engine::swap_matcher`). Built with [`Engine::builder_with_dict`]
 //!   (or [`Engine::builder`] from a bare matcher).
 //! - [`Server`] — a transport-agnostic TCP front end with pipelining,
-//!   in-order responses, batch aggregation, a worker pool, bounded
-//!   queueing with explicit backpressure, and graceful shutdown. Tuned
-//!   with [`ServerConfig::builder`].
+//!   in-order responses, result-cache hits answered on the connection
+//!   thread, batched misses resolved by a worker pool and answered one
+//!   by one, bounded queueing with explicit backpressure, and graceful
+//!   shutdown. Tuned with [`ServerConfig::builder`].
 //! - [`Protocol`] — the transport boundary: request framing/parsing
 //!   ([`RequestParser`] → [`Request`]), response rendering, and
 //!   error/backpressure mapping ([`Reject`]). Two implementations
@@ -121,7 +122,7 @@ mod server;
 
 pub use cache::{CacheStats, ShardedCache};
 pub use cluster::{run_worker_if_flagged, Cluster, ClusterConfig, WORKER_SENTINEL};
-pub use engine::{Engine, EngineBuilder, EngineConfig, Rendered, StageTiming};
+pub use engine::{Engine, EngineBuilder, EngineConfig, Probe, Rendered, StageTiming};
 // The dictionary-lifecycle vocabulary Engine speaks, re-exported so
 // serving code needs no separate websyn_core import for it.
 pub use http::HttpProtocol;

@@ -9,12 +9,15 @@
 //! | stage | where | what |
 //! |---|---|---|
 //! | `parse` | reader | protocol-line → [`crate::Request`] decoding |
-//! | `queue_wait` | queue | enqueue → first item taken by a worker |
-//! | `batch_assembly` | queue | batch top-up window after the first take |
-//! | `cache_lookup` | engine | normalize + result-cache probe |
-//! | `segment` | engine | matcher segmentation (cache misses only) |
-//! | `render` | engine | response serialization + cache fill (misses only) |
+//! | `cache_lookup` | reader | dictionary sync + normalize + result-cache probe |
+//! | `queue_wait` | queue | enqueue → first item taken by a worker (misses only) |
+//! | `batch_assembly` | queue | batch top-up window after the first take (misses only) |
+//! | `segment` | worker | matcher segmentation (misses only) |
+//! | `render` | worker | response serialization + cache fill (misses only) |
 //! | `write` | writer | response write + flush cycles |
+//!
+//! A result-cache hit is answered on the connection's reader thread,
+//! so it records only `parse`, `cache_lookup` and `write`.
 //!
 //! Because the stages partition disjoint slices of each request's
 //! latency, the per-stage totals summed over any traffic sample are
@@ -61,8 +64,10 @@ pub(crate) fn as_us(d: Duration) -> u64 {
 
 /// One slow-query trace entry: the (truncated) query plus its
 /// per-stage latency breakdown in microseconds. `total_us` is measured
-/// at the worker after resolution, so it covers parse → render but not
-/// the response write (which happens after the entry is recorded).
+/// once the answer exists — on the connection's reader for a
+/// result-cache hit, on the worker for a miss — so it covers parse →
+/// render but not the response write (which happens after the entry is
+/// recorded). A hit's queue, assembly, segment and render stages are 0.
 #[derive(Debug, Clone)]
 pub struct SlowEntry {
     /// The raw query, truncated to ~128 bytes on a char boundary.
@@ -71,11 +76,11 @@ pub struct SlowEntry {
     pub total_us: u64,
     /// Protocol parse time.
     pub parse_us: u64,
-    /// Enqueue → first batch item taken.
+    /// Enqueue → first batch item taken (0 on a hit).
     pub queue_us: u64,
-    /// Batch top-up window after the first take.
+    /// Batch top-up window after the first take (0 on a hit).
     pub assembly_us: u64,
-    /// Normalize + result-cache probe.
+    /// Dictionary sync + normalize + result-cache probe.
     pub cache_us: u64,
     /// Matcher segmentation (0 on a result-cache hit).
     pub segment_us: u64,
@@ -125,11 +130,11 @@ pub struct ServeMetrics {
     started: Instant,
     /// Protocol-line → request decoding.
     pub parse: Histogram,
-    /// Enqueue → first batch item taken by a worker.
+    /// Enqueue → first batch item taken by a worker (misses only).
     pub queue_wait: Histogram,
-    /// Batch top-up window after the first take.
+    /// Batch top-up window after the first take (misses only).
     pub batch_assembly: Histogram,
-    /// Normalize + result-cache probe.
+    /// Dictionary sync + normalize + result-cache probe (every read).
     pub cache_lookup: Histogram,
     /// Matcher segmentation (recorded on result-cache misses only).
     pub segment: Histogram,
@@ -139,8 +144,10 @@ pub struct ServeMetrics {
     pub write: Histogram,
     /// The bounded slow-query trace.
     pub slow: RingLog<SlowEntry>,
-    /// Drives the 1-in-N slow-log sample (`incr() % every == 0`).
-    pub(crate) sampler: Counter,
+    /// Drives the 1-in-N slow-log sample. A plain atomic, not a sharded
+    /// [`Counter`]: the sample needs each read's own position in the
+    /// sequence, which only a single fetch-and-add hands out.
+    sampler: AtomicU64,
     slow_threshold_us: AtomicU64,
     slow_sample_every: AtomicU64,
 }
@@ -164,7 +171,7 @@ impl ServeMetrics {
             render: Histogram::new(),
             write: Histogram::new(),
             slow: RingLog::new(SLOW_LOG_CAPACITY),
-            sampler: Counter::new(),
+            sampler: AtomicU64::new(0),
             slow_threshold_us: AtomicU64::new(as_us(DEFAULT_SLOW_THRESHOLD)),
             slow_sample_every: AtomicU64::new(DEFAULT_SLOW_SAMPLE_EVERY),
         }
@@ -207,6 +214,16 @@ impl ServeMetrics {
     /// The installed 1-in-N slow-log sampling rate.
     pub fn slow_sample_every(&self) -> u64 {
         self.slow_sample_every.load(Ordering::Relaxed).max(1)
+    }
+
+    /// The slow-trace gate for a read that took `total_us`: over the
+    /// threshold, or — among the reads that are not — every Nth.
+    pub(crate) fn should_trace(&self, total_us: u64) -> bool {
+        total_us >= self.slow_threshold_us()
+            || self
+                .sampler
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(self.slow_sample_every())
     }
 }
 

@@ -1,5 +1,6 @@
-//! The TCP front end: accept loop, pipelined connections, batch
-//! aggregation, worker pool, graceful shutdown — all transport-agnostic.
+//! The TCP front end: accept loop, pipelined connections, result-cache
+//! probe, batch aggregation of misses, worker pool, graceful shutdown —
+//! all transport-agnostic.
 //!
 //! The server speaks whatever [`Protocol`] it was started with
 //! ([`Server::start_with`]); [`Server::start`] defaults to the original
@@ -13,33 +14,37 @@
 //!   connection;
 //! - each **connection** runs a reader and a writer. The reader
 //!   accumulates protocol lines, feeds them through the connection's
-//!   [`RequestParser`], and pushes query jobs into the shared
-//!   [`BoundedQueue`] — clients may pipeline arbitrarily many requests
-//!   without waiting. The writer re-sequences responses (workers
-//!   complete batches out of order relative to other connections'
-//!   batches) and writes them back in request order;
+//!   [`RequestParser`], and probes the result cache for every query
+//!   right after parse ([`Engine::probe`]). A **hit** is answered on the
+//!   spot: its pre-rendered payload goes straight to the writer, with
+//!   no queue and no batch window. Only a **miss** becomes a job in the
+//!   shared [`BoundedQueue`], carrying its normalized key. Clients may
+//!   pipeline arbitrarily many requests without waiting. The writer
+//!   re-sequences responses (hits overtake queued misses, and workers
+//!   finish misses out of order relative to other connections' jobs)
+//!   and writes them back in request order;
 //! - a **worker pool** drains the queue in time/count-windowed batches
 //!   ([`BoundedQueue::pop_batch`]) and resolves each batch through
-//!   [`Engine::resolve_rendered_batch`] — responses come back as the
-//!   cache's shared pre-rendered payloads (one per wire format), so a
-//!   hit writes without any formatting work on *any* transport. The
-//!   workers *are* the shards: each processes its batch sequentially on
-//!   its own core with one cache pass and one private
-//!   [`websyn_core::MatchScratch`] (the same shared-nothing,
-//!   memo-per-shard discipline as `EntityMatcher::match_batch`, but
-//!   with shards driven by real traffic instead of a fixed pre-split
-//!   batch);
-//! - **backpressure**: a full queue rejects the request immediately
-//!   with the protocol's rendering of [`Reject::Busy`] (`ERR busy` /
-//!   HTTP `503`) instead of queueing unboundedly — the client sees the
-//!   overload in-band, in request order;
+//!   [`Engine::resolve_misses`], which never probes the cache again
+//!   (each read is probed and counted exactly once). Each miss is
+//!   answered the moment its own result exists, so a cold query never
+//!   waits for the rest of its batch. The workers *are* the shards:
+//!   each processes its batch sequentially on its own core with one
+//!   dictionary snapshot and one private [`websyn_core::MatchScratch`];
+//!   every result is rendered once per wire format when it fills the
+//!   cache, so the next hit writes without any formatting work on *any*
+//!   transport;
+//! - **backpressure**: a miss that finds the queue full is rejected
+//!   immediately with the protocol's rendering of [`Reject::Busy`]
+//!   (`ERR busy` / HTTP `503`) instead of queueing unboundedly — the
+//!   client sees the overload in-band, in request order;
 //! - **shutdown**: [`ServerHandle::shutdown`] flips a flag, nudges the
 //!   accept loop awake, joins every connection (readers poll the flag
 //!   on a read timeout), closes the queue — pending requests still
-//!   drain — and joins the workers. Requests racing the wind-down get
+//!   drain — and joins the workers. Misses racing the wind-down get
 //!   [`Reject::Shutdown`] (`ERR shutting-down` / HTTP `503`).
 
-use crate::engine::{Engine, StageTiming};
+use crate::engine::{Engine, Probe};
 use crate::metrics::{self, as_us, ServeMetrics, SlowEntry};
 use crate::proto::LineProtocol;
 use crate::protocol::{Protocol, Reject, Request, Wire};
@@ -66,10 +71,11 @@ pub struct ServerConfig {
     /// protocol's busy rendering (explicit backpressure, no unbounded
     /// growth).
     pub queue_depth: usize,
-    /// Maximum queries a worker coalesces into one matcher batch.
+    /// Maximum cache misses a worker coalesces into one matcher batch.
     pub batch_max: usize,
-    /// How long a worker waits to top up a partial batch. Bounds the
-    /// queueing latency a lone request can see.
+    /// How long a worker waits to top up a partial batch of misses.
+    /// Bounds the queueing latency a lone miss can see; cache hits
+    /// never wait for it.
     pub batch_window: Duration,
     /// Socket read timeout — the shutdown-poll interval for idle
     /// connections, not a client deadline (reads simply retry).
@@ -244,13 +250,15 @@ impl ServerConfigBuilder {
 /// writing it.
 type Reply = (u64, Arc<str>, bool);
 
-/// One in-flight request: the decoded query, its per-connection
-/// sequence number, which wire rendering to answer with, whether the
-/// connection closes after the response, and the connection's response
-/// channel.
+/// One queued cache miss: the decoded query and its normalized cache
+/// key, its per-connection sequence number, which wire rendering to
+/// answer with, whether the connection closes after the response, and
+/// the connection's response channel.
 struct Job {
     seq: u64,
     query: String,
+    /// `normalized(query)`, computed once by the reader's probe.
+    key: String,
     wire: Wire,
     close: bool,
     reply: Sender<Reply>,
@@ -261,6 +269,8 @@ struct Job {
     enqueued_at: Instant,
     /// Protocol parse time, microseconds.
     parse_us: u64,
+    /// The reader's result-cache probe time, microseconds.
+    cache_us: u64,
 }
 
 /// The serving front end. `start`/`start_with` are the only entry
@@ -465,12 +475,11 @@ fn accept_loop(
     }
 }
 
-/// One worker: drain windowed batches, resolve, reply with each job's
-/// wire rendering.
+/// One worker: drain windowed batches of misses, resolve them, and
+/// reply to each job as soon as its own result exists.
 fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>, config: ServerConfig) {
     let m = engine.metrics();
     let mut batch: Vec<Job> = Vec::with_capacity(config.batch_max);
-    let mut timings: Vec<StageTiming> = Vec::with_capacity(config.batch_max);
     while let Some(first_taken) =
         queue.pop_batch_timed(config.batch_max, config.batch_window, &mut batch)
     {
@@ -490,19 +499,14 @@ fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>, config: ServerConfig)
             m.batch_assembly
                 .record(as_us(assembled.saturating_duration_since(joined)));
         }
-        let queries: Vec<&str> = batch.iter().map(|job| job.query.as_str()).collect();
-        let results = engine.resolve_rendered_batch_timed(&queries, &mut timings);
-        // The engine cleared and refilled `timings`: exactly one entry
-        // per job, index-aligned — the zip below depends on it.
-        debug_assert_eq!(timings.len(), batch.len());
-        let threshold_us = m.slow_threshold_us();
-        let sample_every = m.slow_sample_every();
-        for ((job, stage), rendered) in batch.iter().zip(&timings).zip(results) {
+        let keys: Vec<&str> = batch.iter().map(|job| job.key.as_str()).collect();
+        engine.resolve_misses(&keys, |i, rendered, stage| {
+            let job = &batch[i];
             // The slow gate runs before the reply send so `total_us`
             // has a fixed meaning (receipt → resolved, write excluded)
             // regardless of how fast the client drains its socket.
             let total_us = as_us(job.received_at.elapsed());
-            if total_us >= threshold_us || m.sampler.incr().is_multiple_of(sample_every) {
+            if m.should_trace(total_us) {
                 m.slow.push(SlowEntry {
                     query: metrics::truncate_query(&job.query, 128),
                     total_us,
@@ -511,20 +515,17 @@ fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>, config: ServerConfig)
                     assembly_us: as_us(
                         assembled.saturating_duration_since(job.enqueued_at.max(first_taken)),
                     ),
-                    cache_us: stage.cache_us,
+                    cache_us: job.cache_us,
                     segment_us: stage.segment_us,
                     render_us: stage.render_us,
                 });
             }
             // A send error means the connection died mid-flight; the
-            // result is simply dropped. Every rendering was serialized
-            // when the cache entry was filled — a hit sends a shared
-            // `Arc<str>` without touching a serializer, whichever wire
-            // the job arrived on.
+            // result is simply dropped.
             let _ = job
                 .reply
                 .send((job.seq, rendered.for_wire(job.wire), job.close));
-        }
+        });
     }
 }
 
@@ -559,9 +560,10 @@ fn handle_connection(
 }
 
 /// Feeds protocol lines through the connection's [`RequestParser`] and
-/// dispatches the requests it produces; responds in-band to stats
-/// requests, parse rejects and backpressure rejects (through the same
-/// sequenced channel, so ordering is preserved).
+/// dispatches the requests it produces; responds in-band to result-cache
+/// hits, stats requests, parse rejects and backpressure rejects (through
+/// the same sequenced channel, so ordering is preserved) and queues the
+/// misses.
 fn reader_loop(
     read_half: TcpStream,
     engine: &Engine,
@@ -606,16 +608,37 @@ fn reader_loop(
         parse_acc = Duration::ZERO;
         request_started = None;
         let (response, close): (Option<Arc<str>>, bool) = match request {
-            Request::Query { query, close } => {
-                match queue.push(Job {
+            Request::Query { query, close } => match engine.probe(&query) {
+                // A hit is answered here, on the connection thread, in
+                // request order through the same sequenced channel: no
+                // queue, no batch window.
+                (Probe::Hit(rendered), cache_us) => {
+                    let total_us = as_us(received_at.elapsed());
+                    if m.should_trace(total_us) {
+                        m.slow.push(SlowEntry {
+                            query: metrics::truncate_query(&query, 128),
+                            total_us,
+                            parse_us,
+                            queue_us: 0,
+                            assembly_us: 0,
+                            cache_us,
+                            segment_us: 0,
+                            render_us: 0,
+                        });
+                    }
+                    (Some(rendered.for_wire(wire)), close)
+                }
+                (Probe::Miss(key), cache_us) => match queue.push(Job {
                     seq: *seq,
                     query,
+                    key,
                     wire,
                     close,
                     reply: reply.clone(),
                     received_at,
                     enqueued_at: Instant::now(),
                     parse_us,
+                    cache_us,
                 }) {
                     Ok(()) => (None, close),
                     Err(PushError::Full) => {
@@ -626,8 +649,8 @@ fn reader_loop(
                         metrics::count_reject(Reject::Shutdown);
                         (Some(protocol.render_reject(Reject::Shutdown)), close)
                     }
-                }
-            }
+                },
+            },
             // Stats, metrics and the slow trace are answered at receipt
             // time, never queued.
             Request::Stats { close } => (
@@ -733,11 +756,11 @@ fn reader_loop(
     // job for this connection has been answered.
 }
 
-/// Writes responses in request order: workers may answer out of order
-/// across batches, so responses park in a min-heap until their
-/// predecessor has been written. Each payload is followed by the
-/// protocol's terminator (`\n` for the line protocol; nothing for
-/// self-framed HTTP responses). A close-marked response is the
+/// Writes responses in request order: cache hits overtake queued
+/// misses and workers answer misses out of order, so responses park in
+/// a min-heap until their predecessor has been written. Each payload is
+/// followed by the protocol's terminator (`\n` for the line protocol;
+/// nothing for self-framed HTTP responses). A close-marked response is the
 /// connection's last: the writer flushes it and exits, which closes
 /// the socket.
 fn writer_loop(

@@ -1,0 +1,284 @@
+//! Live-socket tests of the result-cache hit path: hits are answered on
+//! the connection thread without entering the miss queue, a pipelined
+//! mix of hits and misses comes back in request order and byte-equal to
+//! direct segmentation on both wires (across a live dictionary delta),
+//! and every read is counted exactly once in `hits`/`misses`.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use websyn_common::EntityId;
+use websyn_core::{EntityMatcher, FuzzyConfig};
+use websyn_serve::http::{percent_encode, read_response, spans_json};
+use websyn_serve::{
+    format_spans, Engine, HttpProtocol, LineProtocol, Protocol, Server, ServerConfig, ServerHandle,
+};
+
+fn matcher() -> EntityMatcher {
+    EntityMatcher::from_pairs(vec![
+        ("indy 4", EntityId::new(0)),
+        ("indiana jones 4", EntityId::new(0)),
+        ("madagascar 2", EntityId::new(1)),
+        ("canon eos 350d", EntityId::new(2)),
+    ])
+    .with_fuzzy(FuzzyConfig::default())
+}
+
+fn start(config: ServerConfig, protocol: Arc<dyn Protocol>) -> (Arc<Engine>, ServerHandle) {
+    let engine = Arc::new(
+        Engine::builder(Arc::new(matcher()))
+            .cache_shards(4)
+            .cache_capacity(256)
+            .build(),
+    );
+    let server = Server::start_with(Arc::clone(&engine), "127.0.0.1:0", config, protocol)
+        .expect("bind ephemeral port");
+    (engine, server)
+}
+
+/// One pipelining client for either wire.
+struct Client {
+    conn: TcpStream,
+    reader: BufReader<TcpStream>,
+    http: bool,
+}
+
+impl Client {
+    fn connect(server: &ServerHandle, http: bool) -> Self {
+        let conn = TcpStream::connect(server.addr()).expect("connect");
+        let reader = BufReader::new(conn.try_clone().expect("clone"));
+        Self { conn, reader, http }
+    }
+
+    /// The request bytes for one read.
+    fn query(&self, q: &str) -> String {
+        if self.http {
+            format!("GET /match?q={} HTTP/1.1\r\n\r\n", percent_encode(q))
+        } else {
+            format!("{q}\n")
+        }
+    }
+
+    /// The request bytes for one dictionary delta (TSV rows).
+    fn delta(&self, tsv: &str) -> String {
+        if self.http {
+            format!(
+                "POST /admin/dict/delta HTTP/1.1\r\nContent-Length: {}\r\n\r\n{tsv}",
+                tsv.len()
+            )
+        } else {
+            let fields: Vec<&str> = tsv.lines().flat_map(|row| row.split('\t')).collect();
+            format!("#dict\t{}\n", fields.join("\t"))
+        }
+    }
+
+    fn send(&mut self, bytes: &str) {
+        self.conn.write_all(bytes.as_bytes()).expect("send");
+    }
+
+    /// The next response: the JSON body on HTTP (which must be a 200),
+    /// the whole line on the line protocol.
+    fn recv(&mut self) -> String {
+        if self.http {
+            let (status, body) = read_response(&mut self.reader).expect("response");
+            assert_eq!(status, 200, "{body}");
+            body
+        } else {
+            let mut line = String::new();
+            self.reader.read_line(&mut line).expect("recv");
+            assert!(line.ends_with('\n'), "truncated response {line:?}");
+            line.trim_end().to_string()
+        }
+    }
+
+    /// What direct segmentation by `m` renders for `q` on this wire.
+    fn golden(&self, m: &EntityMatcher, q: &str) -> String {
+        let spans = m.segment(q);
+        if self.http {
+            spans_json(&spans)
+        } else {
+            format_spans(&spans)
+        }
+    }
+}
+
+fn protocol(http: bool) -> Arc<dyn Protocol> {
+    if http {
+        Arc::new(HttpProtocol)
+    } else {
+        Arc::new(LineProtocol)
+    }
+}
+
+#[test]
+fn hits_are_answered_without_waiting_for_the_miss_batch() {
+    // One worker that holds every batch open for two seconds: a miss
+    // waits out the window, a hit must not.
+    let config = ServerConfig::builder()
+        .workers(1)
+        .batch_window(Duration::from_secs(2))
+        .build();
+    let (engine, server) = start(config, protocol(true));
+    let m = engine.matcher();
+    let warm = "Indy 4 tonight";
+    engine.resolve(warm);
+    let cold = "cheapest cannon eos 350d deals";
+
+    let mut a = Client::connect(&server, true);
+    a.send(&a.query(cold));
+    let (a_tx, a_rx) = mpsc::channel();
+    let a_reader = std::thread::spawn(move || {
+        let body = a.recv();
+        a_tx.send(Instant::now()).unwrap();
+        body
+    });
+    // Wait until A's read has been probed (the warm-up was the first
+    // miss) and queued into the worker's two-second window.
+    while engine.cache_stats().misses < 2 {
+        std::thread::yield_now();
+    }
+    let mut b = Client::connect(&server, true);
+    b.send(&b.query(warm));
+    assert_eq!(b.recv(), spans_json(&m.segment(warm)));
+    let b_answered = Instant::now();
+    assert!(
+        a_rx.try_recv().is_err(),
+        "the cold read on A is still in its batch window"
+    );
+    let a_answered = a_rx.recv().expect("A answered");
+    assert!(
+        b_answered < a_answered,
+        "the hit on B overtook the miss on A"
+    );
+    assert_eq!(a_reader.join().unwrap(), spans_json(&m.segment(cold)));
+    server.shutdown();
+}
+
+/// The read mix: hits warmed before the connection opens, misses, and
+/// repeats of both; the delta adds `starwars kid` and tombstones
+/// `madagascar 2`, so cached entries for both must stop being served.
+const POOL: [&str; 10] = [
+    "indy 4 near san fran",
+    "madagascar 2 showtimes",
+    "cheapest cannon eos 350d deals",
+    "watch indiana jones 4 and madagascar 2",
+    "starwars kid video",
+    "starwrs kid remix",
+    "nothing to see here",
+    "",
+    "INDY-4!",
+    "canon eos 350d vs indy 4",
+];
+const DELTA: &str = "starwars kid\t9\nmadagascar 2\t-\n";
+
+fn pipelined_mix_across_a_delta(http: bool) {
+    let (engine, server) = start(ServerConfig::default(), protocol(http));
+    for q in &POOL[..4] {
+        engine.resolve(q);
+    }
+    let reads: Vec<&str> = (0..120).map(|i| POOL[(i * 7) % POOL.len()]).collect();
+    let mut client = Client::connect(&server, http);
+
+    // Revision 0: the whole mix in one write.
+    let before = engine.matcher();
+    let burst: String = reads.iter().map(|q| client.query(q)).collect();
+    client.send(&burst);
+    for (i, q) in reads.iter().enumerate() {
+        assert_eq!(
+            client.recv(),
+            client.golden(&before, q),
+            "rev 0 read {i} {q:?}"
+        );
+    }
+
+    // The delta, then the same mix, pipelined in one write: the reader
+    // applies the delta before it parses the reads behind it, so they
+    // all resolve at revision 1 — hits included.
+    let mut burst = client.delta(DELTA);
+    burst.extend(reads.iter().map(|q| client.query(q)));
+    client.send(&burst);
+    let ack = client.recv();
+    assert!(ack.contains("applied") && ack.contains('2'), "{ack:?}");
+    let after = engine.matcher();
+    assert_ne!(
+        before.segment("madagascar 2 showtimes"),
+        after.segment("madagascar 2 showtimes")
+    );
+    for (i, q) in reads.iter().enumerate() {
+        assert_eq!(
+            client.recv(),
+            client.golden(&after, q),
+            "rev 1 read {i} {q:?}"
+        );
+    }
+    let stats = engine.cache_stats();
+    assert!(stats.hits > 0 && stats.promotions > 0, "{stats:?}");
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_hits_and_misses_stay_ordered_and_exact_over_http() {
+    pipelined_mix_across_a_delta(true);
+}
+
+#[test]
+fn pipelined_hits_and_misses_stay_ordered_and_exact_over_the_line_protocol() {
+    pipelined_mix_across_a_delta(false);
+}
+
+/// The integer value of `"field":N` in a flat JSON object.
+fn json_u64(json: &str, field: &str) -> u64 {
+    let tag = format!("\"{field}\":");
+    let at = json
+        .find(&tag)
+        .unwrap_or_else(|| panic!("{field} in {json}"))
+        + tag.len();
+    json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("integer field")
+}
+
+#[test]
+fn every_read_is_counted_exactly_once() {
+    let (engine, server) = start(ServerConfig::default(), protocol(true));
+    let mut client = Client::connect(&server, true);
+    let stats = |client: &mut Client| {
+        client.send("GET /stats HTTP/1.1\r\n\r\n");
+        let body = client.recv();
+        (json_u64(&body, "hits"), json_u64(&body, "misses"))
+    };
+    // One at a time: the first read of each distinct query misses,
+    // every later one hits — normalization variants included.
+    let reads = [
+        "indy 4",
+        "INDY 4",
+        "madagascar 2",
+        "indy 4",
+        "nothing",
+        "madagascar 2",
+        "Nothing!",
+    ];
+    for q in reads {
+        client.send(&client.query(q));
+        assert_eq!(client.recv(), spans_json(&engine.matcher().segment(q)));
+    }
+    assert_eq!(stats(&mut client), (4, 3));
+    // A pipelined burst: whether a repeat hits or misses depends on
+    // timing, but each read is probed — and counted — once.
+    let burst: String = (0..200)
+        .map(|i| client.query(&format!("canon eos 350d listing {}", i % 50)))
+        .collect();
+    client.send(&burst);
+    for _ in 0..200 {
+        client.recv();
+    }
+    let (hits, misses) = stats(&mut client);
+    assert_eq!(hits + misses, 207);
+    assert!(misses >= 3 + 50, "{misses}");
+    server.shutdown();
+}
