@@ -39,7 +39,7 @@ fn batch(templates: &[String]) -> Vec<String> {
 }
 
 /// Capacity of the benchmarked window cache — matches the serving
-/// default (`websyn_serve::cluster::load_matcher`).
+/// default (`websyn_serve::cluster::load_dict`).
 const WINDOW_CACHE_CAPACITY: usize = 65_536;
 
 fn bench_matcher_modes(c: &mut Criterion) -> (u64, u64) {

@@ -1,14 +1,15 @@
-//! Schema, recall and perf-regression gate for the committed perf
-//! artifacts.
+//! Schema, recall and perf-regression gate for the committed matcher
+//! perf artifact.
 //!
-//! `BENCH_matcher.json` (matcher microbenchmark) and
-//! `BENCH_serve.json` (serving-path load generator) are the perf
-//! trajectory across PRs; CI regenerates both in smoke mode and this
+//! `BENCH_matcher.json` (matcher microbenchmark) is the matcher's perf
+//! trajectory across PRs; CI regenerates it in smoke mode and this
 //! binary fails the job if a schema or key set regresses — a rename, a
 //! dropped benchmark, or a malformed emitter would otherwise silently
-//! break the cross-PR comparison.
+//! break the cross-PR comparison. (The serving path is measured by the
+//! repository benchmark, `perfbench/`, and gated by the
+//! `websyn-serve` integration tests.)
 //!
-//! Beyond the schema, the matcher artifact is gated four ways:
+//! Beyond the schema, the artifact is gated four ways:
 //!
 //! - **recall** — the misspelled-camera e2e eval must stay perfect
 //!   (every exact-miss recovered, eval set non-trivial) and the
@@ -30,39 +31,9 @@
 //!   from a dev machine, so generous absolute floors (≥ 3× headroom)
 //!   catch catastrophic regressions without tripping on CI hardware.
 //!
-//! For the serve artifact the gate enforces the serving-path
-//! invariants on *both* protocol sections — the line protocol at the
-//! top level and HTTP/1.1 under `"http"`: latency percentiles must be
-//! ordered (p50 ≤ p95 ≤ p99), the Zipfian cache hit rate must stay
-//! above 50%, and no response may have diverged from the golden
-//! segmentation. The HTTP section is mandatory (dropping it fails CI)
-//! and full-mode artifacts must clear an absolute 30k qps HTTP replay
-//! floor. The HTTP section's `"stages"` breakdown (the server's own
-//! per-stage pipeline histograms) is gated too: every stage present,
-//! percentiles ordered, and summed stage time within the
-//! client-observed end-to-end budget — mis-instrumented timers that
-//! double-count a stage fail CI rather than silently corrupting the
-//! latency trajectory.
-//!
-//! The `"cluster"` section (the scale-out curve over worker-process
-//! fleets behind the router) is mandatory too: every row must carry
-//! positive throughput, ordered percentiles and **zero** response
-//! mismatches against the single-process oracle, and full-mode
-//! artifacts must commit the whole 1/2/4/8-worker curve. The curve's
-//! *mechanism* — fleet cache aggregation under hash partitioning — is
-//! gated host-independently through the per-worker hit rates (the
-//! single-worker baseline must be capacity-bound, the 4-worker
-//! fleet's aggregate must hold the working set) plus a 0.5× collapse
-//! floor; the 1.5× 4-worker throughput floor applies only when the
-//! artifact's recorded `"cores"` show the generating host could run
-//! the fleet in parallel at all — on a single-core host worker
-//! processes time-slice one CPU and the ratio measures the scheduler,
-//! not the router.
-//!
 //! Run: `cargo run --release -p websyn-bench --bin bench_check`
-//! (reads the workspace-root `BENCH_matcher.json` / `BENCH_serve.json`,
-//! or the paths in the `BENCH_MATCHER_JSON` / `BENCH_SERVE_JSON` env
-//! vars).
+//! (reads the workspace-root `BENCH_matcher.json`, or the path in the
+//! `BENCH_MATCHER_JSON` env var).
 //!
 //! The checker is deliberately hand-rolled and line-oriented — the
 //! emitters write one result (or one scalar) per line — because the
@@ -110,357 +81,6 @@ fn number_value(line: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .map_or(line.len(), |p| p + start);
     line[start..end].parse().ok()
-}
-
-/// Absolute HTTP replay floor, enforced only on `"mode": "full"`
-/// artifacts: the committed run clears it with ≥ 2× headroom, so a
-/// front end that burns the throughput budget on framing fails CI.
-const HTTP_QPS_FLOOR: f64 = 30_000.0;
-
-/// Validates one protocol section of the serve artifact: positive
-/// throughput, ordered latency percentiles, the >50% Zipfian
-/// cache-hit floor, and zero response mismatches. Sections are
-/// line-oriented like the rest of the artifact, so first-occurrence
-/// key lookup inside the section slice is unambiguous.
-fn check_serve_section(section: &str, label: &str) -> Result<f64, String> {
-    let number = |key: &str| -> Result<f64, String> {
-        number_value(section, key).ok_or_else(|| format!("[{label}] unreadable \"{key}\""))
-    };
-    let throughput = number("throughput_qps")?;
-    if throughput <= 0.0 {
-        return Err(format!(
-            "[{label}] throughput_qps must be positive, got {throughput}"
-        ));
-    }
-    let (p50, p95, p99) = (number("p50")?, number("p95")?, number("p99")?);
-    if p50 <= 0.0 {
-        return Err(format!("[{label}] p50 must be positive, got {p50}"));
-    }
-    if !(p50 <= p95 && p95 <= p99) {
-        return Err(format!(
-            "[{label}] latency percentiles must be ordered, got p50={p50} p95={p95} p99={p99}"
-        ));
-    }
-    let hit_rate = number("cache_hit_rate")?;
-    if !(hit_rate > 0.5 && hit_rate <= 1.0) {
-        return Err(format!(
-            "[{label}] cache_hit_rate must be in (0.5, 1.0] on the Zipfian log, got {hit_rate}"
-        ));
-    }
-    let mismatches = number("response_mismatches")?;
-    if mismatches != 0.0 {
-        return Err(format!(
-            "[{label}] response_mismatches must be 0 (cached == uncached), got {mismatches}"
-        ));
-    }
-    // Informative but mandatory: every section reports its evictions.
-    number("cache_evictions")?;
-    Ok(throughput)
-}
-
-/// Stage names of the HTTP section's server-side breakdown, in
-/// pipeline order. Keep in sync with `ServeMetrics::stages` in
-/// `websyn-serve`.
-const SERVE_STAGES: [&str; 7] = [
-    "parse",
-    "queue_wait",
-    "batch_assembly",
-    "cache_lookup",
-    "segment",
-    "render",
-    "write",
-];
-
-/// Validates the `"stages"` object of the HTTP section: every pipeline
-/// stage present with sane counts and ordered percentiles, and the
-/// accounting invariant that total server-side stage time
-/// (Σ `mean_us` × `count`) cannot exceed total client-observed
-/// end-to-end time (`end_to_end_mean_us` × `total`) — each request's
-/// stage spans are disjoint slices of its own latency window, so an
-/// emitter double-counting a stage (or timing work outside the request
-/// window) breaks the inequality and fails here.
-fn check_serve_stages(section: &str) -> Result<(), String> {
-    let at = section
-        .find("\"stages\":")
-        .ok_or("[http] missing key \"stages\" (per-stage breakdown dropped)")?;
-    let stages = &section[at..];
-    let number = |key: &str| -> Result<f64, String> {
-        number_value(stages, key).ok_or_else(|| format!("[http stages] unreadable \"{key}\""))
-    };
-    let end_to_end = number("end_to_end_mean_us")?;
-    let total = number("total")?;
-    if !(end_to_end > 0.0 && total >= 1.0) {
-        return Err(format!(
-            "[http stages] end-to-end budget must be positive, \
-             got end_to_end_mean_us={end_to_end} total={total}"
-        ));
-    }
-    let mut stage_time = 0.0;
-    for name in SERVE_STAGES {
-        let key = format!("\"{name}\":");
-        let line = stages
-            .lines()
-            .find(|l| l.contains(&key))
-            .ok_or_else(|| format!("[http stages] missing stage \"{name}\""))?;
-        let field = |key: &str| -> Result<f64, String> {
-            number_value(line, key)
-                .ok_or_else(|| format!("[http stages] {name}: unreadable \"{key}\""))
-        };
-        let count = field("count")?;
-        let mean = field("mean_us")?;
-        if count < 0.0 || mean < 0.0 {
-            return Err(format!(
-                "[http stages] {name}: negative count or mean (count={count} mean_us={mean})"
-            ));
-        }
-        let (p50, p99) = (field("p50_us")?, field("p99_us")?);
-        if p50 > p99 {
-            return Err(format!(
-                "[http stages] {name}: percentiles must be ordered, got p50_us={p50} > p99_us={p99}"
-            ));
-        }
-        stage_time += mean * count;
-    }
-    // The breakdown must prove traffic actually flowed through the
-    // instrumented pipeline: the result-cache lookup runs for every
-    // query, so its histogram cannot be empty.
-    if number_value(
-        stages
-            .lines()
-            .find(|l| l.contains("\"cache_lookup\":"))
-            .unwrap_or(""),
-        "count",
-    )
-    .is_none_or(|c| c < 1.0)
-    {
-        return Err("[http stages] cache_lookup count is zero: breakdown detached".into());
-    }
-    let budget = end_to_end * total;
-    if stage_time > budget {
-        return Err(format!(
-            "[http stages] stage accounting broken: Σ mean_us×count = {stage_time:.0}µs \
-             exceeds the end-to-end budget {budget:.0}µs"
-        ));
-    }
-    Ok(())
-}
-
-/// Minimum full-mode throughput ratio of the 4-worker fleet over the
-/// single-worker baseline — enforced only when the committed run came
-/// from a host with at least [`CLUSTER_SCALE_MIN_CORES`] cores. Worker
-/// processes scale throughput by running in parallel; on a single-core
-/// host the fleet time-slices one CPU and each extra process *adds*
-/// scheduler and IPC cost per request, so a throughput ratio there
-/// measures the kernel scheduler, not the router.
-const CLUSTER_SCALE_FLOOR: f64 = 1.5;
-
-/// Core count below which the throughput-ratio floor is meaningless
-/// (see [`CLUSTER_SCALE_FLOOR`]). The artifact records the generating
-/// host's core count under `"cores"`.
-const CLUSTER_SCALE_MIN_CORES: f64 = 4.0;
-
-/// Hardware-independent floor that gates full-mode curves on *every*
-/// host: the 4-worker fleet must stay within 2× of single-worker
-/// throughput even where parallelism can't help. A router that
-/// serializes, deadlocks or thrashes collapses far below this.
-const CLUSTER_COLLAPSE_FLOOR: f64 = 0.5;
-
-/// Full-mode per-worker cache hit-rate bounds proving the curve's
-/// mechanism — fleet cache aggregation under hash partitioning. The
-/// single-worker baseline must be capacity-bound (hit rate at or
-/// below the ceiling) and the 4-worker fleet must hold the working
-/// set (hit rate at or above the floor). These are properties of the
-/// partitioner and the workload, not the host, so they gate
-/// everywhere; the committed run shows 0.41 → 0.96.
-const CLUSTER_BASELINE_HIT_CEILING: f64 = 0.6;
-const CLUSTER_FLEET_HIT_FLOOR: f64 = 0.9;
-
-/// Validates the `"cluster"` scale-out section: workload keys, then
-/// every curve row (positive throughput, ordered percentiles, sane
-/// replication, zero mismatches vs the single-process oracle), then
-/// the full-mode curve shape: all of 1/2/4/8 workers present, cache
-/// aggregation proven by the per-worker hit rates, throughput no
-/// worse than [`CLUSTER_COLLAPSE_FLOOR`]× anywhere — and on hosts
-/// with the cores to show it, the 4-worker fleet at ≥
-/// [`CLUSTER_SCALE_FLOOR`]× single-worker qps.
-fn check_serve_cluster(section: &str, mode: &str) -> Result<(), String> {
-    for key in [
-        "\"connections\":",
-        "\"cores\":",
-        "\"dict_size\":",
-        "\"distinct_queries\":",
-        "\"cache_capacity\":",
-        "\"zipf_s\":",
-        "\"scale\": [",
-    ] {
-        if !section.contains(key) {
-            return Err(format!("[cluster] missing key {key}"));
-        }
-    }
-    let cores = number_value(section, "cores")
-        .ok_or("[cluster] missing key \"cores\": (generating host's core count)")?;
-    if cores < 1.0 {
-        return Err(format!("[cluster] cores must be ≥ 1, got {cores}"));
-    }
-    // One curve row per line; each carries its own worker count.
-    let mut rows: Vec<(f64, f64, f64)> = Vec::new();
-    for line in section
-        .lines()
-        .filter(|l| l.contains("\"workers\":") && l.contains("\"throughput_qps\":"))
-    {
-        let number = |key: &str| -> Result<f64, String> {
-            number_value(line, key)
-                .ok_or_else(|| format!("[cluster] row missing \"{key}\": {line}"))
-        };
-        let workers = number("workers")?;
-        let label = format!("cluster x{workers}");
-        if workers < 1.0 {
-            return Err(format!("[{label}] workers must be ≥ 1"));
-        }
-        let replication = number("replication")?;
-        if !(replication >= 1.0 && replication <= workers) {
-            return Err(format!(
-                "[{label}] replication must be in [1, workers], got {replication}"
-            ));
-        }
-        let throughput = number("throughput_qps")?;
-        if throughput <= 0.0 {
-            return Err(format!(
-                "[{label}] throughput_qps must be positive, got {throughput}"
-            ));
-        }
-        let (p50, p95, p99) = (number("p50")?, number("p95")?, number("p99")?);
-        if !(p50 > 0.0 && p50 <= p95 && p95 <= p99) {
-            return Err(format!(
-                "[{label}] latency percentiles must be positive and ordered, \
-                 got p50={p50} p95={p95} p99={p99}"
-            ));
-        }
-        let hit_rate = number("cache_hit_rate")?;
-        if !(hit_rate > 0.0 && hit_rate <= 1.0) {
-            return Err(format!(
-                "[{label}] cache_hit_rate must be in (0, 1], got {hit_rate}"
-            ));
-        }
-        let mismatches = number("response_mismatches")?;
-        if mismatches != 0.0 {
-            return Err(format!(
-                "[{label}] response_mismatches must be 0 (router invisible to \
-                 correctness), got {mismatches}"
-            ));
-        }
-        if rows.iter().any(|&(w, _, _)| w == workers) {
-            return Err(format!(
-                "[cluster] duplicate curve row for {workers} workers"
-            ));
-        }
-        rows.push((workers, throughput, hit_rate));
-    }
-    if rows.len() < 2 {
-        return Err(format!(
-            "[cluster] scale curve needs at least 2 fleet sizes, got {}",
-            rows.len()
-        ));
-    }
-    if mode == "full" {
-        let row = |w: f64| -> Result<(f64, f64), String> {
-            rows.iter()
-                .find(|&&(rw, _, _)| rw == w)
-                .map(|&(_, q, h)| (q, h))
-                .ok_or_else(|| format!("[cluster] full-mode curve missing the {w}-worker row"))
-        };
-        for w in [1.0, 2.0, 4.0, 8.0] {
-            row(w)?;
-        }
-        let (base_qps, base_hits) = row(1.0)?;
-        let (fleet_qps, fleet_hits) = row(4.0)?;
-        // The mechanism gate is host-independent: a single worker's
-        // cache must not hold the working set, a 4-worker fleet's
-        // aggregate must — otherwise the workload stopped measuring
-        // partitioned cache aggregation and the curve is vacuous.
-        if base_hits > CLUSTER_BASELINE_HIT_CEILING {
-            return Err(format!(
-                "[cluster] single-worker hit rate {base_hits:.2} above the \
-                 {CLUSTER_BASELINE_HIT_CEILING} ceiling: the workload no longer \
-                 exceeds one worker's cache, so the curve measures nothing"
-            ));
-        }
-        if fleet_hits < CLUSTER_FLEET_HIT_FLOOR {
-            return Err(format!(
-                "PERF REGRESSION: [cluster] 4-worker fleet hit rate {fleet_hits:.2} \
-                 below the {CLUSTER_FLEET_HIT_FLOOR} floor: hash partitioning is no \
-                 longer aggregating the fleet's cache capacity"
-            ));
-        }
-        let ratio = fleet_qps / base_qps;
-        if ratio < CLUSTER_COLLAPSE_FLOOR {
-            return Err(format!(
-                "PERF REGRESSION: [cluster] 4-worker fleet at {ratio:.2}× single-worker \
-                 throughput, below the host-independent {CLUSTER_COLLAPSE_FLOOR}× \
-                 collapse floor"
-            ));
-        }
-        if cores >= CLUSTER_SCALE_MIN_CORES && ratio < CLUSTER_SCALE_FLOOR {
-            return Err(format!(
-                "PERF REGRESSION: [cluster] 4-worker fleet at {ratio:.2}× single-worker \
-                 throughput on a {cores}-core host, committed floor {CLUSTER_SCALE_FLOOR}×"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the serve artifact: workload keys, then the line-protocol
-/// section (top level), the HTTP section (under `"http"`) and the
-/// scale-out curve (under `"cluster"`, last in the artifact). A
-/// missing section fails — the front end must keep publishing both
-/// transports and the fleet curve.
-fn check_serve(content: &str) -> Result<(), String> {
-    for key in [
-        "\"bench\": \"serve\"",
-        "\"mode\":",
-        "\"queries\":",
-        "\"distinct_queries\":",
-        "\"connections\":",
-        "\"pipeline_depth\":",
-        "\"workers\":",
-        "\"batch_max\":",
-        "\"batch_window_us\":",
-        "\"cache_capacity\":",
-        "\"zipf_s\":",
-        "\"latency_us\":",
-        "\"cache_evictions\":",
-    ] {
-        if !content.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    let mode = string_value(content, "mode").ok_or("unreadable \"mode\"")?;
-    if !matches!(mode, "full" | "smoke") {
-        return Err(format!("mode must be full|smoke, got {mode:?}"));
-    }
-    // The emitter writes line-protocol values at the top level, then
-    // the HTTP object, then the cluster object — so splitting at the
-    // two section keys yields three slices each containing one
-    // section's values.
-    let http_at = content
-        .find("\"http\":")
-        .ok_or("missing key \"http\": (HTTP section dropped from the serve artifact)")?;
-    let cluster_at = content
-        .find("\"cluster\":")
-        .ok_or("missing key \"cluster\": (scale-out curve dropped from the serve artifact)")?;
-    if cluster_at < http_at {
-        return Err("serve artifact sections out of order: \"cluster\" before \"http\"".into());
-    }
-    check_serve_section(&content[..http_at], "line")?;
-    let http_qps = check_serve_section(&content[http_at..cluster_at], "http")?;
-    check_serve_stages(&content[http_at..cluster_at])?;
-    if mode == "full" && http_qps < HTTP_QPS_FLOOR {
-        return Err(format!(
-            "PERF REGRESSION: [http] replay at {http_qps:.0} qps, committed floor {HTTP_QPS_FLOOR:.0}"
-        ));
-    }
-    check_serve_cluster(&content[cluster_at..], mode)
 }
 
 /// Relative throughput floors: `qps(numerator) / qps(denominator)`
@@ -682,39 +302,21 @@ fn check(content: &str) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
-    let matcher_path = std::env::var("BENCH_MATCHER_JSON").unwrap_or_else(|_| {
+    let path = std::env::var("BENCH_MATCHER_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matcher.json").to_string()
     });
-    let serve_path = std::env::var("BENCH_SERVE_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json").to_string()
-    });
-    let mut failed = false;
-    for (path, verdict) in [
-        (
-            &matcher_path,
-            std::fs::read_to_string(&matcher_path)
-                .map_err(|e| format!("cannot read: {e}"))
-                .and_then(|c| check(&c).map(|n| format!("{n} results"))),
-        ),
-        (
-            &serve_path,
-            std::fs::read_to_string(&serve_path)
-                .map_err(|e| format!("cannot read: {e}"))
-                .and_then(|c| check_serve(&c).map(|()| "serve schema + gates".to_string())),
-        ),
-    ] {
-        match verdict {
-            Ok(what) => println!("bench_check: {path} ok ({what}, all required keys present)"),
-            Err(e) => {
-                eprintln!("bench_check: {path}: SCHEMA REGRESSION: {e}");
-                failed = true;
-            }
+    match std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|c| check(&c))
+    {
+        Ok(n) => {
+            println!("bench_check: {path} ok ({n} results, all required keys present)");
+            ExitCode::SUCCESS
         }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        Err(e) => {
+            eprintln!("bench_check: {path}: SCHEMA REGRESSION: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -786,260 +388,6 @@ mod tests {
         assert!(check(&full).unwrap_err().contains("PERF REGRESSION"));
         // …but passes in smoke mode (ratios alone apply there).
         assert!(check(&valid()).is_ok());
-    }
-
-    fn valid_serve() -> String {
-        "{\n  \"bench\": \"serve\",\n  \"mode\": \"smoke\",\n  \"queries\": 2000,\n  \"distinct_queries\": 200,\n  \"connections\": 4,\n  \"pipeline_depth\": 4,\n  \"workers\": 2,\n  \"batch_max\": 32,\n  \"batch_window_us\": 100,\n  \"cache_capacity\": 256,\n  \"zipf_s\": 1.00,\n  \"throughput_qps\": 50000,\n  \"latency_us\": {\"p50\": 120.0, \"p95\": 350.5, \"p99\": 700.1, \"max\": 1200.0},\n  \"cache_hit_rate\": 0.9050,\n  \"cache_evictions\": 2,\n  \"response_mismatches\": 0,\n  \"http\": {\n    \"throughput_qps\": 48000,\n    \"latency_us\": {\"p50\": 130.0, \"p95\": 360.5, \"p99\": 710.1, \"max\": 1300.0},\n    \"cache_hit_rate\": 0.9100,\n    \"cache_evictions\": 1,\n    \"response_mismatches\": 0,\n    \"stages\": {\n      \"end_to_end_mean_us\": 180.0,\n      \"total\": 2000,\n      \"parse\": {\"count\": 2000, \"mean_us\": 2.1, \"p50_us\": 2, \"p99_us\": 8},\n      \"queue_wait\": {\"count\": 2000, \"mean_us\": 24.0, \"p50_us\": 16, \"p99_us\": 128},\n      \"batch_assembly\": {\"count\": 2000, \"mean_us\": 35.5, \"p50_us\": 32, \"p99_us\": 128},\n      \"cache_lookup\": {\"count\": 2000, \"mean_us\": 1.2, \"p50_us\": 1, \"p99_us\": 4},\n      \"segment\": {\"count\": 190, \"mean_us\": 85.0, \"p50_us\": 64, \"p99_us\": 512},\n      \"render\": {\"count\": 190, \"mean_us\": 3.0, \"p50_us\": 2, \"p99_us\": 16},\n      \"write\": {\"count\": 1500, \"mean_us\": 9.5, \"p50_us\": 8, \"p99_us\": 64}\n    }\n  },\n  \"cluster\": {\n    \"connections\": 8,\n    \"cores\": 8,\n    \"dict_size\": 2000,\n    \"distinct_queries\": 300,\n    \"cache_capacity\": 128,\n    \"zipf_s\": 0.40,\n    \"scale\": [\n      {\"workers\": 1, \"replication\": 1, \"throughput_qps\": 8000, \"latency_us\": {\"p50\": 1700.0, \"p95\": 4600.0, \"p99\": 6000.0, \"max\": 17000.0}, \"cache_hit_rate\": 0.4120, \"response_mismatches\": 0},\n      {\"workers\": 2, \"replication\": 1, \"throughput_qps\": 12000, \"latency_us\": {\"p50\": 735.0, \"p95\": 4300.0, \"p99\": 6300.0, \"max\": 12000.0}, \"cache_hit_rate\": 0.7290, \"response_mismatches\": 0},\n      {\"workers\": 4, \"replication\": 1, \"throughput_qps\": 18000, \"latency_us\": {\"p50\": 683.0, \"p95\": 1600.0, \"p99\": 5000.0, \"max\": 16000.0}, \"cache_hit_rate\": 0.9620, \"response_mismatches\": 0},\n      {\"workers\": 8, \"replication\": 1, \"throughput_qps\": 16000, \"latency_us\": {\"p50\": 763.0, \"p95\": 2000.0, \"p99\": 5900.0, \"max\": 49000.0}, \"cache_hit_rate\": 0.9620, \"response_mismatches\": 0}\n    ]\n  }\n}\n"
-            .to_string()
-    }
-
-    #[test]
-    fn accepts_the_serve_schema() {
-        assert_eq!(check_serve(&valid_serve()), Ok(()));
-    }
-
-    #[test]
-    fn serve_gate_rejects_bad_values() {
-        let low_hit =
-            valid_serve().replace("\"cache_hit_rate\": 0.9050", "\"cache_hit_rate\": 0.4");
-        assert!(check_serve(&low_hit)
-            .unwrap_err()
-            .contains("cache_hit_rate"));
-        let unordered = valid_serve().replace("\"p95\": 350.5", "\"p95\": 3500.5");
-        assert!(check_serve(&unordered).unwrap_err().contains("ordered"));
-        let mismatch = valid_serve().replacen(
-            "\"response_mismatches\": 0,",
-            "\"response_mismatches\": 3,",
-            1,
-        );
-        assert!(check_serve(&mismatch)
-            .unwrap_err()
-            .contains("response_mismatches"));
-        let missing = valid_serve().replace("  \"batch_window_us\": 100,\n", "");
-        assert!(check_serve(&missing).unwrap_err().contains("missing key"));
-        let missing_depth = valid_serve().replace("  \"pipeline_depth\": 4,\n", "");
-        assert!(check_serve(&missing_depth)
-            .unwrap_err()
-            .contains("missing key"));
-        let missing_evictions = valid_serve().replace("  \"cache_evictions\": 2,\n", "");
-        assert!(check_serve(&missing_evictions)
-            .unwrap_err()
-            .contains("cache_evictions"));
-        let badmode = valid_serve().replace("\"mode\": \"smoke\"", "\"mode\": \"partial\"");
-        assert!(check_serve(&badmode).unwrap_err().contains("mode"));
-        let zero_tp = valid_serve().replace("\"throughput_qps\": 50000", "\"throughput_qps\": 0");
-        assert!(check_serve(&zero_tp).unwrap_err().contains("positive"));
-    }
-
-    #[test]
-    fn serve_gate_covers_the_http_section() {
-        // Dropping the whole HTTP object fails — the front end must
-        // keep publishing both transports.
-        let gone = match valid_serve().find(",\n  \"http\": {") {
-            Some(at) => format!("{}\n}}\n", &valid_serve()[..at]),
-            None => panic!("fixture lost its http section"),
-        };
-        assert!(check_serve(&gone).unwrap_err().contains("\"http\""));
-        // Bad values inside the HTTP section are caught with the
-        // section label even when the line section is healthy.
-        let http_mismatch = valid_serve().replace(
-            "    \"response_mismatches\": 0",
-            "    \"response_mismatches\": 7",
-        );
-        let err = check_serve(&http_mismatch).unwrap_err();
-        assert!(err.contains("[http]") && err.contains("response_mismatches"));
-        let http_low_hit =
-            valid_serve().replace("\"cache_hit_rate\": 0.9100", "\"cache_hit_rate\": 0.2");
-        assert!(check_serve(&http_low_hit).unwrap_err().contains("[http]"));
-    }
-
-    #[test]
-    fn serve_gate_covers_the_stage_breakdown() {
-        // Dropping the whole stages object fails — the per-stage
-        // breakdown is part of the committed artifact now.
-        let gone = {
-            let fixture = valid_serve();
-            let at = fixture.find(",\n    \"stages\": {").expect("stages open");
-            let end = fixture.find("\n    }\n  },").expect("stages close");
-            format!("{}{}", &fixture[..at], &fixture[end + "\n    }".len()..])
-        };
-        assert!(check_serve(&gone).unwrap_err().contains("\"stages\""));
-        // Every pipeline stage must be present by name.
-        let missing_stage = valid_serve().replace("\"queue_wait\":", "\"queue_delay\":");
-        assert!(check_serve(&missing_stage)
-            .unwrap_err()
-            .contains("missing stage \"queue_wait\""));
-        // Per-stage percentiles must be ordered.
-        let unordered = valid_serve().replace(
-            "\"segment\": {\"count\": 190, \"mean_us\": 85.0, \"p50_us\": 64, \"p99_us\": 512}",
-            "\"segment\": {\"count\": 190, \"mean_us\": 85.0, \"p50_us\": 640, \"p99_us\": 512}",
-        );
-        let err = check_serve(&unordered).unwrap_err();
-        assert!(
-            err.contains("[http stages] segment") && err.contains("ordered"),
-            "{err}"
-        );
-        // The accounting invariant: summed stage time cannot exceed
-        // the client-observed end-to-end budget. A double-counting
-        // emitter (here: batch assembly charged at ~5× the whole
-        // request latency) fails.
-        let overcharged = valid_serve().replace(
-            "\"batch_assembly\": {\"count\": 2000, \"mean_us\": 35.5,",
-            "\"batch_assembly\": {\"count\": 2000, \"mean_us\": 900.0,",
-        );
-        let err = check_serve(&overcharged).unwrap_err();
-        assert!(err.contains("stage accounting broken"), "{err}");
-        // An empty cache_lookup histogram means the breakdown was
-        // detached from the serving path.
-        let detached = valid_serve().replace(
-            "\"cache_lookup\": {\"count\": 2000,",
-            "\"cache_lookup\": {\"count\": 0,",
-        );
-        assert!(check_serve(&detached).unwrap_err().contains("detached"));
-    }
-
-    #[test]
-    fn serve_gate_covers_the_cluster_section() {
-        // Dropping the whole cluster object fails — the scale-out
-        // curve must stay published.
-        let gone = match valid_serve().find(",\n  \"cluster\": {") {
-            Some(at) => format!("{}\n}}\n", &valid_serve()[..at]),
-            None => panic!("fixture lost its cluster section"),
-        };
-        assert!(check_serve(&gone).unwrap_err().contains("\"cluster\""));
-        // Any curve row answering differently from the single-process
-        // oracle fails, labelled with its fleet size.
-        let mismatch = valid_serve().replacen(
-            "\"cache_hit_rate\": 0.7290, \"response_mismatches\": 0",
-            "\"cache_hit_rate\": 0.7290, \"response_mismatches\": 2",
-            1,
-        );
-        let err = check_serve(&mismatch).unwrap_err();
-        assert!(err.contains("[cluster x2]") && err.contains("response_mismatches"));
-        // Replication can never exceed the fleet size.
-        let overrep = valid_serve().replacen(
-            "{\"workers\": 1, \"replication\": 1,",
-            "{\"workers\": 1, \"replication\": 3,",
-            1,
-        );
-        assert!(check_serve(&overrep).unwrap_err().contains("replication"));
-        // A one-row "curve" is not a curve: truncate after the
-        // 1-worker row and close the arrays.
-        let only_first = {
-            let fixture = valid_serve();
-            let row1 = fixture.find("\"workers\": 1").expect("row 1");
-            let end = row1 + fixture[row1..].find('}').expect("latency close") + 1;
-            let end = end + fixture[end..].find('}').expect("row close") + 1;
-            format!("{}\n    ]\n  }}\n}}\n", &fixture[..end])
-        };
-        assert!(check_serve(&only_first)
-            .unwrap_err()
-            .contains("at least 2 fleet sizes"));
-    }
-
-    #[test]
-    fn cluster_scale_floor_gates_full_mode_only() {
-        // A flat curve (4-worker fleet no faster than one worker):
-        // fine in smoke mode, a perf regression in full mode.
-        let flat = valid_serve().replacen(
-            "{\"workers\": 4, \"replication\": 1, \"throughput_qps\": 18000",
-            "{\"workers\": 4, \"replication\": 1, \"throughput_qps\": 9000",
-            1,
-        );
-        assert_eq!(check_serve(&flat), Ok(()));
-        let flat_full = flat.replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
-        let err = check_serve(&flat_full).unwrap_err();
-        assert!(
-            err.contains("PERF REGRESSION") && err.contains("[cluster]"),
-            "{err}"
-        );
-        // The committed shape passes in full mode (18000/8000 = 2.25×)…
-        let full = valid_serve().replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
-        assert_eq!(check_serve(&full), Ok(()));
-        // …but full mode insists on the whole 1/2/4/8 curve.
-        let no_8 = {
-            let fixture = full.clone();
-            let at = fixture.find(",\n      {\"workers\": 8").expect("row 8");
-            let end = fixture.find("\n    ]").expect("scale close");
-            format!("{}{}", &fixture[..at], &fixture[end..])
-        };
-        assert!(check_serve(&no_8).unwrap_err().contains("8-worker row"));
-    }
-
-    #[test]
-    fn cluster_scale_floor_is_core_count_aware() {
-        // The same flat curve on a single-core host passes the ratio
-        // floor (worker processes time-slice one CPU there; the ratio
-        // would measure the scheduler), but the mechanism and
-        // collapse gates still apply.
-        let flat_single_core = valid_serve()
-            .replace("\"mode\": \"smoke\"", "\"mode\": \"full\"")
-            .replace("\"cores\": 8,", "\"cores\": 1,")
-            .replacen(
-                "{\"workers\": 4, \"replication\": 1, \"throughput_qps\": 18000",
-                "{\"workers\": 4, \"replication\": 1, \"throughput_qps\": 9000",
-                1,
-            );
-        assert_eq!(check_serve(&flat_single_core), Ok(()));
-        // Collapse below 0.5× fails on any host.
-        let collapsed = flat_single_core.replacen(
-            "{\"workers\": 4, \"replication\": 1, \"throughput_qps\": 9000",
-            "{\"workers\": 4, \"replication\": 1, \"throughput_qps\": 3000",
-            1,
-        );
-        let err = check_serve(&collapsed).unwrap_err();
-        assert!(err.contains("collapse floor"), "{err}");
-        // Dropping the cores key fails — the floor can't be applied
-        // without knowing the generating host.
-        let no_cores = valid_serve().replace("    \"cores\": 8,\n", "");
-        assert!(check_serve(&no_cores).unwrap_err().contains("cores"));
-    }
-
-    #[test]
-    fn cluster_hit_rates_must_prove_cache_aggregation() {
-        let full = valid_serve().replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
-        // A 4-worker fleet that no longer holds the working set fails
-        // regardless of host: partitioned aggregation is the
-        // mechanism the curve exists to prove.
-        let cold_fleet = full.replacen(
-            "\"cache_hit_rate\": 0.9620",
-            "\"cache_hit_rate\": 0.8000",
-            1,
-        );
-        let err = check_serve(&cold_fleet).unwrap_err();
-        assert!(err.contains("no longer aggregating"), "{err}");
-        // A single-worker baseline that already holds the working set
-        // means the workload shrank and the curve is vacuous.
-        let warm_baseline = full.replacen(
-            "\"cache_hit_rate\": 0.4120",
-            "\"cache_hit_rate\": 0.7000",
-            1,
-        );
-        let err = check_serve(&warm_baseline).unwrap_err();
-        assert!(err.contains("measures nothing"), "{err}");
-        // Neither gate applies in smoke mode.
-        let smoke_cold = valid_serve().replacen(
-            "\"cache_hit_rate\": 0.9620",
-            "\"cache_hit_rate\": 0.8000",
-            1,
-        );
-        assert_eq!(check_serve(&smoke_cold), Ok(()));
-    }
-
-    #[test]
-    fn http_absolute_floor_gates_full_mode_only() {
-        let slow = valid_serve().replace("\"throughput_qps\": 48000", "\"throughput_qps\": 4800");
-        // Below the 30k floor: fine in smoke mode, rejected in full.
-        assert!(check_serve(&slow).is_ok());
-        let slow_full = slow.replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
-        assert!(check_serve(&slow_full)
-            .unwrap_err()
-            .contains("PERF REGRESSION"));
-        // At the floor, full mode passes.
-        let fast_full = valid_serve()
-            .replace("\"mode\": \"smoke\"", "\"mode\": \"full\"")
-            .replace("\"throughput_qps\": 48000", "\"throughput_qps\": 30000");
-        assert_eq!(check_serve(&fast_full), Ok(()));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`Cluster::start`] spawns `workers` copies of the *current
 //! executable* re-entered through the [`WORKER_SENTINEL`] argv flag —
 //! so every binary that links this crate (`websyn-cluster`,
-//! `websyn-serve`, the bench harness) can become a worker without a
-//! separate worker binary. Each worker owns a full [`crate::Engine`]
+//! `websyn-serve`) can become a worker without a separate worker
+//! binary. Each worker owns a full [`crate::Engine`]
 //! (its own matcher and result cache) and serves the stock HTTP/1.1
 //! protocol on an ephemeral port; the parent learns the port from a
 //! single `READY <addr>` line on the worker's stdout.
@@ -32,7 +32,7 @@
 //! processes.
 
 use crate::router::{Ring, Router, RouterConfig};
-use crate::{Engine, EngineConfig, HttpProtocol, Server, ServerConfig};
+use crate::{Engine, EngineConfig, Server, ServerConfig};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, ChildStdin, Command, ExitCode, Stdio};
@@ -95,16 +95,6 @@ pub fn load_dict(dict: Option<&str>) -> Result<DictHandle, String> {
         matcher
     };
     Ok(DictHandle::new(matcher))
-}
-
-/// Loads a dictionary as a bare matcher.
-#[deprecated(
-    since = "0.1.0",
-    note = "use load_dict — the DictHandle carries the same matcher \
-            plus the live-update lifecycle"
-)]
-pub fn load_matcher(dict: Option<&str>) -> Result<EntityMatcher, String> {
-    Ok((*load_dict(dict)?.matcher()).clone())
 }
 
 /// If the process was invoked with [`WORKER_SENTINEL`], runs the
@@ -174,7 +164,7 @@ pub fn worker_main(args: &[String]) -> ExitCode {
             .config(engine_config)
             .build(),
     );
-    let handle = match Server::start_with(engine, "127.0.0.1:0", server, Arc::new(HttpProtocol)) {
+    let handle = match Server::start(engine, "127.0.0.1:0", server) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("cluster worker: cannot bind: {e}");

@@ -1,9 +1,7 @@
 //! The serving engine: a live-updatable dictionary behind a sharded
-//! result cache of per-protocol pre-rendered responses.
+//! result cache of pre-rendered responses.
 //!
-//! [`Engine`] is the layer every network front end calls into — it is
-//! transport-agnostic, which is what lets one engine back a line
-//! server and an HTTP server at once. It owns
+//! [`Engine`] is the layer the network front end calls into. It owns
 //!
 //! - a [`DictHandle`] — the segmented-dictionary lifecycle handle.
 //!   Resolution pins an epoch snapshot (`Arc` clone, no contention
@@ -13,12 +11,10 @@
 //!   [`Engine::dict`]) remains the rebuild-and-swap deployment story
 //!   for wholesale artifact changes;
 //! - a [`ShardedCache`] of `normalized query →` [`Rendered`]: the
-//!   spans *and* one pre-serialized response per wire format — the
-//!   line-protocol `OK …` line ([`crate::proto::format_spans`]) and
-//!   the complete HTTP/1.1 200 response ([`crate::http::spans_json`])
-//!   — all rendered once, on the miss that filled the entry. A
-//!   protocol-level cache hit is therefore a pure lookup-and-write for
-//!   *every* transport: no serializer walk, no `String` allocation,
+//!   spans *and* the complete HTTP/1.1 200 response
+//!   ([`crate::http::spans_json`]), rendered once, on the miss that
+//!   filled the entry. A cache hit is therefore a pure
+//!   lookup-and-write: no serializer walk, no `String` allocation,
 //!   just an `Arc` clone handed to the connection writer. The cache is
 //!   keyed *after* normalization, so "Indy 4", "indy 4" and "INDY-4"
 //!   share one entry, and a hit skips normalization's allocation too
@@ -36,7 +32,7 @@
 //! four-thousand-entry cache.
 //!
 //! Cached and uncached paths return byte-identical results: the cache
-//! stores exactly what the matcher produced (and the renderings
+//! stores exactly what the matcher produced (and the response
 //! serialized from it), and generation-checked inserts (see
 //! [`ShardedCache::insert_at`]) make it impossible for a result
 //! computed against a retired dictionary revision to be served at a
@@ -45,8 +41,6 @@
 use crate::cache::{CacheStats, ShardedCache};
 use crate::http;
 use crate::metrics::{as_us, ServeMetrics};
-use crate::proto::format_spans;
-use crate::protocol::Wire;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -61,31 +55,17 @@ use websyn_text::normalized;
 /// proven safe and simply stay unpromotable (they age out by LRU).
 const GEN_LOG_CAP: usize = 64;
 
-/// One cached resolution: the spans plus the pre-rendered response in
-/// every wire format the server speaks, produced together on the
-/// filling miss. All fields are shared handles — cloning a `Rendered`
-/// costs three reference-count bumps.
+/// One cached resolution: the spans plus the pre-rendered response,
+/// produced together on the filling miss. Both fields are shared
+/// handles — cloning a `Rendered` costs two reference-count bumps.
 #[derive(Debug, Clone)]
 pub struct Rendered {
     /// The segmentation result itself.
     pub spans: Arc<Vec<MatchSpan>>,
-    /// The line-protocol response line (no terminator);
-    /// see [`crate::proto::format_spans`].
-    pub line: Arc<str>,
     /// The complete HTTP/1.1 200 response — status line, headers and
-    /// JSON body; see [`crate::http::spans_json`].
+    /// JSON body; see [`crate::http::spans_json`]. What a connection
+    /// writer puts on the socket.
     pub http: Arc<str>,
-}
-
-impl Rendered {
-    /// The pre-rendered response for `wire` — what a connection writer
-    /// puts on the socket (plus the protocol's terminator).
-    pub fn for_wire(&self, wire: Wire) -> Arc<str> {
-        match wire {
-            Wire::Line => Arc::clone(&self.line),
-            Wire::Http => Arc::clone(&self.http),
-        }
-    }
 }
 
 /// Cache sizing for an [`Engine`]. [`Engine::builder`] is the
@@ -229,7 +209,7 @@ struct Served {
 /// What [`Engine::probe`] found for one read.
 #[derive(Debug)]
 pub enum Probe {
-    /// A result-cache hit: every wire rendering, ready to write.
+    /// A result-cache hit: the rendered response, ready to write.
     Hit(Rendered),
     /// A miss: the normalized query — the key
     /// [`Engine::resolve_misses`] resolves and caches the result under.
@@ -237,8 +217,7 @@ pub enum Probe {
 }
 
 /// A live-updatable dictionary + result cache, shared by every
-/// connection and worker — and by every protocol front end serving
-/// the same dictionary.
+/// connection and worker.
 #[derive(Debug)]
 pub struct Engine {
     dict: DictHandle,
@@ -438,24 +417,6 @@ impl Engine {
         self.deltas.load(Ordering::Acquire)
     }
 
-    /// Replaces the served dictionary wholesale — the legacy
-    /// rebuild-and-swap deployment step, now a thin wrapper over
-    /// [`DictHandle::replace_base`] plus an immediate cache
-    /// synchronization (which wholesale-invalidates, since a new
-    /// lineage shares nothing with the old). Workers mid-batch keep
-    /// their old snapshot and finish against the retired dictionary,
-    /// but their late cache inserts are rejected by the generation
-    /// check.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::dict().replace_base(..) for artifact swaps, \
-                or Engine::apply_delta(..) for incremental updates"
-    )]
-    pub fn swap_matcher(&self, new: Arc<EntityMatcher>) {
-        self.dict.replace_base((*new).clone());
-        self.sync();
-    }
-
     /// Number of completed lineage replacements (base swaps) observed
     /// by this engine's cache synchronization.
     pub fn swaps(&self) -> u64 {
@@ -466,15 +427,6 @@ impl Engine {
     /// miss. Byte-identical to `matcher().segment(query)`.
     pub fn resolve(&self, query: &str) -> Arc<Vec<MatchSpan>> {
         self.resolve_batch(std::slice::from_ref(&query)).remove(0)
-    }
-
-    /// Resolves one raw query to its serialized line-protocol response
-    /// (see [`crate::proto::format_spans`]): on a cache hit this is a
-    /// pure lookup — the line was rendered when the entry was filled.
-    pub fn resolve_line(&self, query: &str) -> Arc<str> {
-        self.resolve_rendered_batch(std::slice::from_ref(&query))
-            .remove(0)
-            .line
     }
 
     /// Resolves a batch of raw queries in order. Cache misses within
@@ -488,18 +440,9 @@ impl Engine {
             .collect()
     }
 
-    /// [`Engine::resolve_batch`], returning the serialized
-    /// line-protocol response of each query.
-    pub fn resolve_line_batch<S: AsRef<str>>(&self, queries: &[S]) -> Vec<Arc<str>> {
-        self.resolve_rendered_batch(queries)
-            .into_iter()
-            .map(|r| r.line)
-            .collect()
-    }
-
-    /// The shared resolution core — the worker-loop entry point: every
-    /// query comes back with its spans and every per-protocol
-    /// rendering, so a hit costs no serialization on any transport.
+    /// The shared batch resolution core: every query comes back with
+    /// its spans and its rendered response, so a later hit costs no
+    /// serialization.
     pub fn resolve_rendered_batch<S: AsRef<str>>(&self, queries: &[S]) -> Vec<Rendered> {
         self.resolve_inner(queries, None)
     }
@@ -536,7 +479,7 @@ impl Engine {
     /// Resolves normalized keys that [`Engine::probe`] reported as
     /// misses, without probing the cache again: segments each against
     /// one dictionary snapshot (sharing one [`MatchScratch`]), renders
-    /// every wire format, fills the cache (generation-checked, so a
+    /// the response, fills the cache (generation-checked, so a
     /// result from a snapshot a newer delta retired is never stored),
     /// and hands `(index into keys, rendering, stage timing)` to `emit`
     /// as soon as that key is done — a caller can answer each read
@@ -631,7 +574,6 @@ impl Engine {
         self.metrics.segment.record(segment_us);
         let render_start = Instant::now();
         let entry = Rendered {
-            line: Arc::from(format_spans(&spans).as_str()),
             http: Arc::from(http::response(200, "OK", &http::spans_json(&spans)).as_str()),
             spans,
         };
@@ -739,9 +681,7 @@ mod tests {
     }
 
     #[test]
-    // Pins the deprecated shim's contract on purpose.
-    #[allow(deprecated)]
-    fn swap_invalidates_and_serves_the_new_dictionary() {
+    fn base_replacement_invalidates_and_serves_the_new_dictionary() {
         let e = small_engine();
         // Warm the cache with the old dictionary.
         assert_eq!(e.resolve("indy 4").len(), 1);
@@ -752,10 +692,10 @@ mod tests {
             "indy 4",
             EntityId::new(42),
         )]));
-        e.swap_matcher(Arc::clone(&new));
-        assert_eq!(e.swaps(), 1);
-        assert_eq!(e.cache_stats().entries, 0, "swap cleared the cache");
+        e.dict().replace_base((*new).clone());
         let spans = e.resolve("indy 4");
+        assert_eq!(e.swaps(), 1);
+        assert_eq!(e.cache_stats().invalidations, 1, "swap cleared the cache");
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].entity, EntityId::new(42));
         assert_eq!(*spans, new.segment("indy 4"));
@@ -782,9 +722,7 @@ mod tests {
     }
 
     #[test]
-    // Exercises the deprecated shim's post-swap coherence on purpose.
-    #[allow(deprecated)]
-    fn cached_renderings_are_byte_identical_per_wire() {
+    fn cached_renderings_are_byte_identical() {
         let e = small_engine();
         let m = e.matcher();
         for query in [
@@ -793,31 +731,21 @@ mod tests {
             "nothing to see",
             "",
         ] {
-            let golden_line = format_spans(&m.segment(query));
-            let golden_http = http::response(200, "OK", &http::spans_json(&m.segment(query)));
+            let golden = http::response(200, "OK", &http::spans_json(&m.segment(query)));
             let cold = e.resolve_rendered_batch(&[query]).remove(0);
             let warm = e.resolve_rendered_batch(&[query]).remove(0);
-            assert_eq!(&*cold.line, golden_line, "{query:?} cold line");
-            assert_eq!(&*cold.http, golden_http, "{query:?} cold http");
-            assert_eq!(&*warm.for_wire(Wire::Line), golden_line, "{query:?} warm");
-            assert_eq!(&*warm.for_wire(Wire::Http), golden_http, "{query:?} warm");
+            assert_eq!(&*cold.http, golden, "{query:?} cold");
+            assert_eq!(&*warm.http, golden, "{query:?} warm");
+            assert_eq!(*warm.spans, m.segment(query), "{query:?} spans");
             // The warm hit is the same allocation the miss filled — a
-            // pure lookup-and-write, not a re-serialization, on both
-            // wires.
-            assert!(Arc::ptr_eq(&cold.line, &warm.line), "{query:?} line share");
-            assert!(Arc::ptr_eq(&cold.http, &warm.http), "{query:?} http share");
+            // pure lookup-and-write, not a re-serialization.
+            assert!(Arc::ptr_eq(&cold.http, &warm.http), "{query:?} share");
         }
         // Span and rendering views of the same entry stay coherent
-        // after a swap too.
-        let new = Arc::new(EntityMatcher::from_pairs(vec![(
-            "indy 4",
-            EntityId::new(42),
-        )]));
-        e.swap_matcher(Arc::clone(&new));
-        assert_eq!(
-            &*e.resolve_line("indy 4"),
-            format_spans(&new.segment("indy 4"))
-        );
+        // after a base replacement too.
+        let new = EntityMatcher::from_pairs(vec![("indy 4", EntityId::new(42))]);
+        e.dict().replace_base(new.clone());
+        assert_eq!(*e.resolve("indy 4"), new.segment("indy 4"));
         assert_eq!(
             &*e.resolve_rendered_batch(&["indy 4"]).remove(0).http,
             http::response(200, "OK", &http::spans_json(&new.segment("indy 4")))

@@ -1,10 +1,8 @@
 //! Std-only HTTP/1.1 front end: the wire format and its [`Protocol`]
 //! implementation.
 //!
-//! The HTTP transport serves the same engine, queue, worker pool and
-//! cache as the line protocol, but speaks a format every standard
-//! load-testing and routing tool understands (`curl`, `oha`, `wrk`,
-//! reverse proxies):
+//! The server speaks a format every standard load-testing and routing
+//! tool understands (`curl`, `oha`, `wrk`, reverse proxies):
 //!
 //! ```text
 //! GET /match?q=<percent-encoded query>   → 200, JSON span response
@@ -33,26 +31,25 @@
 //! with `start`/`end` token indices into the *normalized* query,
 //! `entity` the raw entity id, `distance` the verified edit distance
 //! (0 = exact) and `surface` the dictionary surface the mention
-//! resolved to — field for field the line protocol's span tuple, and
-//! covered by the same byte-identical-response machinery: the JSON
-//! body is rendered once, on the cache miss that filled the entry
-//! ([`crate::Rendered`]).
+//! resolved to. The whole response is rendered once, on the cache miss
+//! that filled the entry ([`crate::Rendered`]), so a hit writes it
+//! verbatim.
 //!
 //! Error mapping (see [`Reject`]):
 //!
-//! | condition | line protocol | HTTP |
-//! |---|---|---|
-//! | queue full (backpressure) | `ERR busy` | `503` |
-//! | shutting down | `ERR shutting-down` | `503` |
-//! | request line over the cap | `ERR line-too-long` | `431` |
-//! | unparseable request | — | `400` |
-//! | unknown endpoint | `ERR unknown-control` | `404` |
-//! | unsupported method | — | `405` |
+//! | condition | status |
+//! |---|---|
+//! | queue full (backpressure) | `503` |
+//! | shutting down | `503` |
+//! | request line over the cap | `431` |
+//! | unparseable request | `400` |
+//! | unknown endpoint | `404` |
+//! | unsupported method | `405` |
 //!
 //! Supported: persistent connections (HTTP/1.1 keep-alive is the
 //! default; `Connection: close` and HTTP/1.0 close after the
 //! response), pipelined GETs (responses are re-sequenced into request
-//! order by the shared connection writer), percent-decoding (`%xx` and
+//! order by the connection writer), percent-decoding (`%xx` and
 //! `+` for space) of the `q` parameter — which may sit at any position
 //! in the `&`-separated query string (`/match?verbose=1&q=a`); a
 //! duplicated `q` is ambiguous and answered `400`, as is any broken
@@ -69,7 +66,7 @@
 //! `Content-Length` keeps the body unambiguous either way.
 
 use crate::cache::CacheStats;
-use crate::protocol::{Protocol, Reject, Request, RequestParser, Wire};
+use crate::protocol::{Protocol, Reject, Request, RequestParser};
 use std::io::{self, BufRead};
 use std::sync::Arc;
 use websyn_core::{DictStats, MatchSpan, WindowCacheStats};
@@ -109,10 +106,9 @@ pub(crate) fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Serializes a segmentation result as the `/match` JSON body. This is
-/// the HTTP counterpart of [`crate::proto::format_spans`] — the only
-/// JSON span serializer in the stack, so cached and uncached HTTP
-/// responses are byte-identical by construction.
+/// Serializes a segmentation result as the `/match` JSON body — the
+/// only span serializer in the stack, so cached and uncached responses
+/// are byte-identical by construction.
 pub fn spans_json(spans: &[MatchSpan]) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\"spans\":[");
@@ -135,8 +131,7 @@ pub fn spans_json(spans: &[MatchSpan]) -> String {
     out
 }
 
-/// Serializes cache statistics as the `/stats` JSON body — the HTTP
-/// counterpart of [`crate::proto::format_stats`]. `window` carries the
+/// Serializes cache statistics as the `/stats` JSON body. `window` carries the
 /// matcher's cross-batch window-cache counters
 /// ([`websyn_core::EntityMatcher::with_window_cache`]); the fields are
 /// always present (zero when no cache is attached) so the router's
@@ -169,10 +164,8 @@ pub fn stats_json(
 }
 
 /// Serializes a dictionary-delta acknowledgement as the
-/// `POST /admin/dict/delta` 200 body — the HTTP counterpart of
-/// [`crate::proto::format_dict_delta`]: how many ops the delta
-/// carried, plus where the applied delta left the dictionary
-/// lifecycle.
+/// `POST /admin/dict/delta` 200 body: how many ops the delta carried,
+/// plus where the applied delta left the dictionary lifecycle.
 pub fn dict_delta_json(applied: usize, dict: &DictStats) -> String {
     format!(
         "{{\"applied\":{},\"segments\":{},\"delta_upserts\":{},\"delta_tombstones\":{},\"epoch\":{},\"revision\":{},\"compactions\":{}}}",
@@ -192,8 +185,7 @@ pub fn dict_delta_json(applied: usize, dict: &DictStats) -> String {
 /// lone trailing `%`, or non-hex escape digits (`%zz`) — and the
 /// caller maps `None` to a `400`: a broken escape never panics and
 /// never passes through as literal text. Decoded bytes are interpreted
-/// as UTF-8, lossily — exactly like the line protocol's treatment of
-/// raw bytes.
+/// as UTF-8, lossily.
 pub fn percent_decode(s: &str) -> Option<String> {
     let raw = s.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(raw.len());
@@ -300,30 +292,22 @@ const MAX_DELTA_BODY_BYTES: usize = 4 << 20;
 /// The one endpoint that accepts a request body.
 const DELTA_PATH: &str = "/admin/dict/delta";
 
-/// The HTTP/1.1 transport, as a [`Protocol`] implementation. See the
-/// module docs for the endpoint map and error mapping.
+/// The HTTP/1.1 transport: the [`Protocol`] implementation that frames
+/// requests, plus the renderers of every response the server writes
+/// besides `/match` (which [`crate::Engine`] renders once per cache
+/// fill). See the module docs for the endpoint map and error mapping.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HttpProtocol;
 
 impl Protocol for HttpProtocol {
-    fn name(&self) -> &'static str {
-        "http"
-    }
-
-    fn wire(&self) -> Wire {
-        Wire::Http
-    }
-
-    fn terminator(&self) -> &'static [u8] {
-        // Responses are self-framed by Content-Length.
-        b""
-    }
-
     fn parser(&self) -> Box<dyn RequestParser> {
         Box::new(HttpParser::default())
     }
+}
 
-    fn render_reject(&self, reject: Reject) -> Arc<str> {
+impl HttpProtocol {
+    /// Renders a semantic reject as a complete response.
+    pub(crate) fn render_reject(&self, reject: Reject) -> Arc<str> {
         let (status, reason, error) = match reject {
             Reject::Busy => (503, "Service Unavailable", "busy"),
             Reject::Shutdown => (503, "Service Unavailable", "shutting-down"),
@@ -335,7 +319,9 @@ impl Protocol for HttpProtocol {
         Arc::from(response(status, reason, &format!("{{\"error\":\"{error}\"}}")).as_str())
     }
 
-    fn render_stats(
+    /// Renders the `/stats` response; see [`stats_json`] for the
+    /// arguments.
+    pub(crate) fn render_stats(
         &self,
         stats: &CacheStats,
         swaps: u64,
@@ -353,16 +339,22 @@ impl Protocol for HttpProtocol {
         )
     }
 
-    fn render_dict_delta(&self, applied: usize, dict: &DictStats) -> Arc<str> {
+    /// Renders the acknowledgement of an applied dictionary delta:
+    /// `applied` is the op count of the delta, `dict` the post-apply
+    /// lifecycle counters.
+    pub(crate) fn render_dict_delta(&self, applied: usize, dict: &DictStats) -> Arc<str> {
         Arc::from(response(200, "OK", &dict_delta_json(applied, dict)).as_str())
     }
 
-    fn render_metrics(&self, body: &str) -> Arc<str> {
+    /// Wraps an assembled Prometheus text exposition as the `/metrics`
+    /// response.
+    pub(crate) fn render_metrics(&self, body: &str) -> Arc<str> {
         // Prometheus text exposition, not JSON.
         Arc::from(response_with_type(200, "OK", "text/plain; version=0.0.4", body).as_str())
     }
 
-    fn render_slow(&self, body: &str) -> Arc<str> {
+    /// Wraps the slow-query trace JSON as the `/debug/slow` response.
+    pub(crate) fn render_slow(&self, body: &str) -> Arc<str> {
         Arc::from(response(200, "OK", body).as_str())
     }
 }
@@ -944,7 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_json_matches_the_line_protocol_field_for_field() {
+    fn spans_json_renders_every_span_field() {
         assert_eq!(spans_json(&[]), "{\"spans\":[]}");
         let m = EntityMatcher::from_pairs(vec![
             ("indy 4", EntityId::new(7)),

@@ -3,32 +3,29 @@
 //! The sharded serving front end for the websyn matcher — the layer
 //! between [`websyn_core::EntityMatcher`] and the outside world. The
 //! paper's fuzzy segmenter is meant to sit on a live web-query path;
-//! this crate puts it there:
+//! this crate puts it there, over HTTP/1.1:
 //!
 //! - [`Engine`] — a live dictionary ([`websyn_core::DictHandle`])
 //!   behind a [`ShardedCache`] of pre-rendered results ([`Rendered`]:
-//!   spans + one serialized response per wire format). Dictionary
-//!   updates arrive as deltas ([`Engine::apply_delta`], wired to
-//!   `POST /admin/dict/delta` and the `#dict` line verb) and are
-//!   served immediately — no restart, no base recompile, and the
-//!   result cache invalidates selectively against the delta's
-//!   footprint instead of flushing wholesale. The legacy
-//!   rebuild-and-swap path survives as a deprecated shim
-//!   (`Engine::swap_matcher`). Built with [`Engine::builder_with_dict`]
-//!   (or [`Engine::builder`] from a bare matcher).
-//! - [`Server`] — a transport-agnostic TCP front end with pipelining,
-//!   in-order responses, result-cache hits answered on the connection
-//!   thread, batched misses resolved by a worker pool and answered one
-//!   by one, bounded queueing with explicit backpressure, and graceful
-//!   shutdown. Tuned with [`ServerConfig::builder`].
-//! - [`Protocol`] — the transport boundary: request framing/parsing
-//!   ([`RequestParser`] → [`Request`]), response rendering, and
-//!   error/backpressure mapping ([`Reject`]). Two implementations
-//!   ship: [`LineProtocol`] (the line-delimited protocol of [`proto`])
-//!   and [`HttpProtocol`] (the std-only HTTP/1.1 front end of
-//!   [`http`]). Both run on the same connections, queue, workers and
-//!   cache — and on the same pre-rendered cache entries, so a cache
-//!   hit is a pure lookup-and-write on every transport.
+//!   spans + the serialized response). Dictionary updates arrive as
+//!   deltas ([`Engine::apply_delta`], wired to
+//!   `POST /admin/dict/delta`) and are served immediately — no
+//!   restart, no base recompile, and the result cache invalidates
+//!   selectively against the delta's footprint instead of flushing
+//!   wholesale. Wholesale artifact swaps go through
+//!   [`DictHandle::replace_base`] on [`Engine::dict`]. Built with
+//!   [`Engine::builder_with_dict`] (or [`Engine::builder`] from a bare
+//!   matcher).
+//! - [`Server`] — a TCP front end with pipelining, in-order responses,
+//!   result-cache hits answered on the connection thread, batched
+//!   misses resolved by a worker pool and answered one by one, bounded
+//!   queueing with explicit backpressure, and graceful shutdown. Tuned
+//!   with [`ServerConfig::builder`].
+//! - [`http`] — the std-only HTTP/1.1 wire format: request framing
+//!   ([`HttpProtocol`], a [`Protocol`] handing out per-connection
+//!   [`RequestParser`]s that yield [`Request`]s), response rendering
+//!   and error/backpressure mapping ([`Reject`]), plus the minimal
+//!   client ([`http::read_response`]) the router and tests use.
 //! - [`Cluster`] / [`Router`] — multi-process serving: a worker fleet
 //!   of independent engines behind a hash-partitioning HTTP router
 //!   ([`router`]), supervised with health probes, backoff restarts and
@@ -44,10 +41,10 @@
 //!   telemetry ([`websyn_core::matcher_telemetry`]) and the distance
 //!   kernel dispatch split ([`websyn_text::kernel_dispatch_stats`]).
 //!
-//! ## A complete round trip (line protocol)
+//! ## A complete round trip
 //!
 //! ```
-//! use std::io::{BufRead, BufReader, Write};
+//! use std::io::{Read, Write};
 //! use std::net::TcpStream;
 //! use std::sync::Arc;
 //! use websyn_common::EntityId;
@@ -58,34 +55,6 @@
 //!     .with_fuzzy(FuzzyConfig::default());
 //! let engine = Arc::new(Engine::builder(Arc::new(matcher)).build());
 //! let server = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
-//!
-//! let mut conn = TcpStream::connect(server.addr()).unwrap();
-//! writeln!(conn, "Indy 4 near San Fran").unwrap();
-//! let mut line = String::new();
-//! BufReader::new(conn.try_clone().unwrap()).read_line(&mut line).unwrap();
-//! assert_eq!(line.trim_end(), "OK\t0,2,7,0,indy 4");
-//! server.shutdown();
-//! ```
-//!
-//! ## The same engine over HTTP/1.1
-//!
-//! ```
-//! use std::io::{Read, Write};
-//! use std::net::TcpStream;
-//! use std::sync::Arc;
-//! use websyn_common::EntityId;
-//! use websyn_core::EntityMatcher;
-//! use websyn_serve::{Engine, HttpProtocol, Server, ServerConfig};
-//!
-//! let matcher = EntityMatcher::from_pairs(vec![("indy 4", EntityId::new(7))]);
-//! let engine = Arc::new(Engine::builder(Arc::new(matcher)).build());
-//! let server = Server::start_with(
-//!     engine,
-//!     "127.0.0.1:0",
-//!     ServerConfig::default(),
-//!     Arc::new(HttpProtocol),
-//! )
-//! .unwrap();
 //!
 //! let mut conn = TcpStream::connect(server.addr()).unwrap();
 //! write!(
@@ -102,14 +71,13 @@
 //! server.shutdown();
 //! ```
 
-// Wire formats are public modules: their grammars (and serializers)
+// The wire format is a public module: its grammar (and serializers)
 // are part of the crate's contract with clients. So are the cluster
-// modules — binaries outside this crate (the bench harness) host
-// worker processes and drive fleets through them.
+// modules — any binary that links this crate can host worker
+// processes and drive fleets through them.
 pub mod cluster;
 pub mod http;
 pub mod metrics;
-pub mod proto;
 pub mod protocol;
 pub mod router;
 
@@ -123,12 +91,11 @@ mod server;
 pub use cache::{CacheStats, ShardedCache};
 pub use cluster::{run_worker_if_flagged, Cluster, ClusterConfig, WORKER_SENTINEL};
 pub use engine::{Engine, EngineBuilder, EngineConfig, Probe, Rendered, StageTiming};
-// The dictionary-lifecycle vocabulary Engine speaks, re-exported so
-// serving code needs no separate websyn_core import for it.
 pub use http::HttpProtocol;
 pub use metrics::{ServeMetrics, SlowEntry};
-pub use proto::{format_spans, format_stats, LineProtocol};
-pub use protocol::{Protocol, Reject, Request, RequestParser, Wire};
+pub use protocol::{Protocol, Reject, Request, RequestParser};
 pub use router::{Ring, Router, RouterConfig};
 pub use server::{ServeConfig, Server, ServerConfig, ServerConfigBuilder, ServerHandle};
+// The dictionary-lifecycle vocabulary Engine speaks, re-exported so
+// serving code needs no separate websyn_core import for it.
 pub use websyn_core::{DictDelta, DictHandle, DictStats};

@@ -1,41 +1,39 @@
 //! `websyn-serve` — the serving binary.
 //!
-//! Serves an entity dictionary over a pluggable transport: the line
-//! protocol of [`websyn_serve::proto`] (default) or the std-only
-//! HTTP/1.1 front end of [`websyn_serve::http`]:
+//! Serves an entity dictionary over the std-only HTTP/1.1 front end of
+//! [`websyn_serve::http`]:
 //!
 //! ```sh
-//! websyn-serve --addr 127.0.0.1:7878 --dict dictionary.tsv
-//! printf 'indy 4 near san fran\n' | nc 127.0.0.1 7878
-//!
-//! websyn-serve --proto http --addr 127.0.0.1:8080 --dict dictionary.tsv
+//! websyn-serve --addr 127.0.0.1:8080 --dict dictionary.tsv
 //! curl 'http://127.0.0.1:8080/match?q=indy+4+near+san+fran'
 //! ```
+//!
+//! `--proto http` is accepted for compatibility and changes nothing;
+//! HTTP is the only protocol.
 //!
 //! `--dict` loads an `EntityMatcher::to_tsv` artifact (the `#!fuzzy`
 //! header re-enables approximate matching); without it a small built-in
 //! demo dictionary is served, with fuzzy matching on.
 //!
 //! `--smoke` runs the CI self-test instead of serving: start on an
-//! ephemeral port, round-trip exact, fuzzy, pipelined and control
-//! requests against a live socket — over *both* protocols — shut down
-//! cleanly, and exit 0 only if every response matched.
+//! ephemeral port, round-trip exact, fuzzy, pipelined, admin and
+//! observability requests against a live socket, shut down cleanly,
+//! and exit 0 only if every response matched.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use websyn_core::DictHandle;
 use websyn_serve::cluster::{load_dict, run_worker_if_flagged, Cluster, ClusterConfig};
-use websyn_serve::{http, Engine, EngineConfig, HttpProtocol, Protocol, Server, ServerConfig};
+use websyn_serve::{http, Engine, EngineConfig, Server, ServerConfig};
 
 /// Parsed command line.
 struct Args {
     addr: String,
     dict: Option<String>,
     smoke: bool,
-    http: bool,
     /// `--cluster N`: serve through a router over N worker processes
     /// instead of one in-process server (HTTP only).
     cluster: usize,
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7878".to_string(),
         dict: None,
         smoke: false,
-        http: false,
         cluster: 0,
         replication: 2,
         server: ServerConfig::default(),
@@ -62,13 +59,17 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--dict" => args.dict = Some(value("--dict")?),
             "--smoke" => args.smoke = true,
-            "--proto" => {
-                args.http = match value("--proto")?.as_str() {
-                    "http" => true,
-                    "line" => false,
-                    other => return Err(format!("unknown protocol {other:?} (line|http)")),
+            "--proto" => match value("--proto")?.as_str() {
+                "http" => {}
+                "line" => {
+                    return Err(
+                        "the line protocol was removed; websyn-serve speaks HTTP only \
+                                (drop --proto, or pass --proto http)"
+                            .to_string(),
+                    )
                 }
-            }
+                other => return Err(format!("unknown protocol {other:?} (http)")),
+            },
             "--cluster" => args.cluster = parse(&value("--cluster")?)?,
             "--replication" => args.replication = parse(&value("--replication")?)?,
             "--workers" => args.server.workers = parse(&value("--workers")?)?,
@@ -89,7 +90,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: websyn-serve [--proto line|http] [--addr A] [--dict F.tsv] \
+                    "usage: websyn-serve [--proto http] [--addr A] [--dict F.tsv] \
                      [--cluster N] [--replication N] \
                      [--workers N] [--queue-depth N] [--batch-max N] [--batch-window-us N] \
                      [--cache-capacity N] [--cache-shards N] \
@@ -141,16 +142,9 @@ fn main() -> ExitCode {
     }
 
     if args.smoke {
-        // The smoke test always exercises both protocols — they share
-        // the machinery, so both must pass regardless of which one the
-        // binary would serve. Each gets its own handle (and so its own
-        // delta lifecycle) over the same loaded base dictionary.
-        let fresh = || DictHandle::new((*dict.matcher()).clone());
-        let result = smoke_line(engine(&fresh(), args.engine), args.server)
-            .and_then(|()| smoke_http(engine(&fresh(), args.engine), args.server));
-        return match result {
+        return match smoke(engine(&dict, args.engine), args.server) {
             Ok(()) => {
-                println!("websyn-serve: smoke ok (line + http)");
+                println!("websyn-serve: smoke ok (http)");
                 ExitCode::SUCCESS
             }
             Err(msg) => {
@@ -189,28 +183,14 @@ fn main() -> ExitCode {
         }
     }
 
-    let protocol: Arc<dyn Protocol> = if args.http {
-        Arc::new(HttpProtocol)
-    } else {
-        Arc::new(websyn_serve::LineProtocol)
-    };
-    let server = match Server::start_with(
-        engine(&dict, args.engine),
-        args.addr.as_str(),
-        args.server,
-        Arc::clone(&protocol),
-    ) {
+    let server = match Server::start(engine(&dict, args.engine), args.addr.as_str(), args.server) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("websyn-serve: cannot bind {}: {e}", args.addr);
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
-        "websyn-serve: listening on {} ({})",
-        server.addr(),
-        protocol.name()
-    );
+    eprintln!("websyn-serve: listening on {} (http)", server.addr());
     // Serve until the process is killed; all work happens on the
     // accept/worker threads.
     loop {
@@ -251,127 +231,14 @@ fn worker_args(args: &Args) -> Vec<String> {
     ]
 }
 
-/// One scripted client session against a live ephemeral-port line
-/// server: exact hit, fuzzy hit, miss, pipelined burst, `#stats`, then
-/// a clean shutdown. Any mismatch is an error.
-fn smoke_line(engine: Arc<Engine>, config: ServerConfig) -> Result<(), String> {
+/// One scripted client session against a live ephemeral-port server,
+/// as keep-alive GETs on one connection: exact hit, fuzzy hit, miss, a
+/// pipelined burst, a cache hit, `/stats`, `/metrics`, `/debug/slow`,
+/// error statuses and a live dictionary delta, then a clean shutdown.
+/// Any mismatch is an error.
+fn smoke(engine: Arc<Engine>, config: ServerConfig) -> Result<(), String> {
     let io_err = |e: std::io::Error| format!("io error: {e}");
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", config).map_err(io_err)?;
-    let addr = server.addr();
-    {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        let mut conn = stream;
-        fn ask(
-            conn: &mut TcpStream,
-            reader: &mut BufReader<TcpStream>,
-            request: &str,
-        ) -> Result<String, String> {
-            let io_err = |e: std::io::Error| format!("io error: {e}");
-            writeln!(conn, "{request}").map_err(io_err)?;
-            let mut line = String::new();
-            reader.read_line(&mut line).map_err(io_err)?;
-            Ok(line.trim_end().to_string())
-        }
-
-        let exact = ask(&mut conn, &mut reader, "Indy 4 near San Fran")?;
-        if exact != "OK\t0,2,0,0,indy 4" {
-            return Err(format!("exact: unexpected response {exact:?}"));
-        }
-        let fuzzy = ask(&mut conn, &mut reader, "cheapest cannon eos 350d deals")?;
-        if fuzzy != "OK\t1,4,2,1,canon eos 350d" {
-            return Err(format!("fuzzy: unexpected response {fuzzy:?}"));
-        }
-        let miss = ask(&mut conn, &mut reader, "nothing matches this")?;
-        if miss != "OK" {
-            return Err(format!("miss: unexpected response {miss:?}"));
-        }
-
-        // Pipelined burst: send everything, then read everything — the
-        // server must answer in request order.
-        let burst = ["indy 4", "350d", "madagascar 2", "indy 4"];
-        for q in burst {
-            writeln!(conn, "{q}").map_err(io_err)?;
-        }
-        for (i, q) in burst.iter().enumerate() {
-            let mut line = String::new();
-            reader.read_line(&mut line).map_err(io_err)?;
-            if !line.starts_with("OK\t") {
-                return Err(format!("pipelined {i} ({q}): got {line:?}"));
-            }
-        }
-        // Sequential repeat of an already-answered query: its earlier
-        // response has been received, so its cache insert has landed
-        // and this one must hit deterministically (the duplicates
-        // inside the burst may race across workers and both miss).
-        let repeat = ask(&mut conn, &mut reader, "350d")?;
-        if !repeat.starts_with("OK\t") {
-            return Err(format!("repeat: unexpected response {repeat:?}"));
-        }
-
-        let stats = ask(&mut conn, &mut reader, "#stats")?;
-        if !stats.starts_with("STATS\thits=") {
-            return Err(format!("stats: unexpected response {stats:?}"));
-        }
-        let unknown = ask(&mut conn, &mut reader, "#frobnicate")?;
-        if unknown != "ERR unknown-control" {
-            return Err(format!("control: unexpected response {unknown:?}"));
-        }
-        // The observability verbs: the tab-folded Prometheus
-        // exposition and the single-line slow-trace JSON.
-        let metrics = ask(&mut conn, &mut reader, "#metrics")?;
-        if !metrics.starts_with("METRICS\t# TYPE websyn_uptime_seconds gauge\t") {
-            return Err(format!("metrics: unexpected response {metrics:?}"));
-        }
-        if !metrics.contains("websyn_stage_duration_us") {
-            return Err("metrics: missing stage histograms".to_string());
-        }
-        let slow = ask(&mut conn, &mut reader, "#slow")?;
-        if !slow.starts_with("SLOW\t{\"threshold_us\":") || !slow.ends_with("]}") {
-            return Err(format!("slow: unexpected response {slow:?}"));
-        }
-        // Live dictionary update over the wire: the #dict verb carries
-        // a delta (rows folded onto tabs) and the new surface must
-        // resolve on the very next request — no restart.
-        let before = ask(&mut conn, &mut reader, "starwars kid dance")?;
-        if before != "OK" {
-            return Err(format!("dict pre-delta: unexpected response {before:?}"));
-        }
-        let ack = ask(&mut conn, &mut reader, "#dict\tstarwars kid\t901")?;
-        if !ack.starts_with("DICT\tapplied=1\tsegments=") {
-            return Err(format!("dict: unexpected ack {ack:?}"));
-        }
-        let after = ask(&mut conn, &mut reader, "starwars kid dance")?;
-        if after != "OK\t0,2,901,0,starwars kid" {
-            return Err(format!("dict post-delta: unexpected response {after:?}"));
-        }
-        // And the stats line reports the lifecycle position.
-        let stats = ask(&mut conn, &mut reader, "#stats")?;
-        if !stats.contains("\tsegments=1\t") || !stats.contains("\tdelta_upserts=1\t") {
-            return Err(format!("dict stats: lifecycle missing in {stats:?}"));
-        }
-    }
-    // The sequential repeat of "350d" must have hit the cache.
-    let stats = engine.cache_stats();
-    if stats.hits == 0 {
-        return Err("no cache hit recorded for the repeated query".to_string());
-    }
-    server.shutdown();
-    Ok(())
-}
-
-/// The HTTP twin of [`smoke_line`]: the same exchanges as keep-alive
-/// GETs on one connection — exact, fuzzy, miss, a pipelined burst,
-/// `/stats`, an unknown endpoint — plus the JSON≡line sanity check.
-fn smoke_http(engine: Arc<Engine>, config: ServerConfig) -> Result<(), String> {
-    let io_err = |e: std::io::Error| format!("io error: {e}");
-    let server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        config,
-        Arc::new(HttpProtocol),
-    )
-    .map_err(io_err)?;
     let addr = server.addr();
     {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
@@ -428,6 +295,18 @@ fn smoke_http(engine: Arc<Engine>, config: ServerConfig) -> Result<(), String> {
             if status != 200 || !body.contains("\"entity\":") {
                 return Err(format!("http pipelined {i} ({q}): got {status} {body:?}"));
             }
+        }
+        // Sequential repeat of an already-answered query: its earlier
+        // response has been received, so its cache insert has landed
+        // and this one must hit deterministically (the duplicates
+        // inside the burst may race across workers and both miss).
+        let hits = engine.cache_stats().hits;
+        let repeat = ask(&mut conn, &mut reader, "350d")?;
+        if repeat.0 != 200 || !repeat.1.contains("\"surface\":\"350d\"") {
+            return Err(format!("http repeat: unexpected response {repeat:?}"));
+        }
+        if engine.cache_stats().hits != hits + 1 {
+            return Err("http repeat: no cache hit recorded".to_string());
         }
 
         let (status, stats) = get(&mut conn, &mut reader, "/stats")?;
@@ -501,16 +380,6 @@ fn smoke_http(engine: Arc<Engine>, config: ServerConfig) -> Result<(), String> {
                 "http dict metrics: lifecycle missing in {metrics:?}"
             ));
         }
-        // The JSON body and the line rendering must describe the same
-        // spans (shared cache entry, rendered together).
-        let line = engine.resolve_line("indy 4");
-        if !line.starts_with("OK\t0,2,0,0,indy 4") {
-            return Err(format!("line view of cached entry diverged: {line:?}"));
-        }
-    }
-    let stats = engine.cache_stats();
-    if stats.hits == 0 {
-        return Err("no http cache hit recorded".to_string());
     }
     server.shutdown();
     Ok(())

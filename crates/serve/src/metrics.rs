@@ -268,7 +268,7 @@ fn reject_index(reject: Reject) -> usize {
 }
 
 /// Counts one rejected (error-answered) request in its class. Called
-/// at every render-reject site on both protocols and in the router.
+/// at every render-reject site in the server and in the router.
 pub fn count_reject(reject: Reject) {
     REJECTS[reject_index(reject)].incr();
 }

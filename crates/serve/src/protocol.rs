@@ -1,76 +1,47 @@
-//! The transport abstraction: how requests are framed off the socket
-//! and how results, statistics and rejects are rendered back.
+//! The request vocabulary and the framing boundary: how requests are
+//! framed off the socket into semantic [`Request`]s.
 //!
-//! [`Server`](crate::Server) is transport-agnostic. Everything that
-//! distinguishes one wire format from another lives behind the
-//! [`Protocol`] trait:
-//!
-//! - **framing + parsing** — a per-connection [`RequestParser`] turns
-//!   raw protocol lines into semantic [`Request`]s (the connection
-//!   layer owns the byte-level line accumulation, timeouts and size
-//!   caps, which are protocol-independent);
-//! - **response selection** — cached results are pre-rendered once per
-//!   wire format ([`crate::Rendered`]); [`Protocol::wire`] names which
-//!   rendering this transport writes, so a cache hit stays a pure
-//!   lookup-and-write for every protocol;
-//! - **error/backpressure mapping** — semantic rejects ([`Reject`])
-//!   render per protocol: a full queue is `ERR busy` on the line
-//!   protocol and `503 Service Unavailable` over HTTP.
-//!
-//! Two implementations ship with the crate:
-//! [`LineProtocol`](crate::LineProtocol) (the original line-delimited
-//! TCP protocol, [`crate::proto`]) and
-//! [`HttpProtocol`](crate::HttpProtocol) (std-only HTTP/1.1,
-//! [`crate::http`]). Both run on the same connection handling, worker
-//! pool, batch aggregator and sharded result cache.
-
-use crate::cache::CacheStats;
-use std::sync::Arc;
-
-/// Which pre-rendered form of a cached result a transport writes.
-/// Every [`crate::Rendered`] cache entry carries one rendering per
-/// variant, produced on the miss that filled the entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wire {
-    /// The `OK\t…` line of [`crate::proto::format_spans`].
-    Line,
-    /// A complete HTTP/1.1 response with a JSON body
-    /// ([`crate::http::spans_json`]).
-    Http,
-}
+//! The connection layer of [`Server`](crate::Server) owns the
+//! byte-level line accumulation, timeouts and size caps. Everything
+//! that turns those lines into requests sits behind the [`Protocol`]
+//! trait: a per-connection [`RequestParser`] emits a [`Request`] once
+//! one is fully framed, and semantic rejects ([`Reject`]) name why a
+//! request cannot be served. The one implementation is
+//! [`HttpProtocol`](crate::HttpProtocol) ([`crate::http`]), which also
+//! renders every response.
 
 /// A semantic request, decoded from the wire by a [`RequestParser`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Resolve `query` through the engine and write the result.
+    /// Resolve `query` through the engine and write the result
+    /// (`GET /match?q=`).
     Query {
-        /// The raw query text (percent-decoded for HTTP).
+        /// The raw, percent-decoded query text.
         query: String,
         /// Close the connection once the response has been written
-        /// (e.g. HTTP `Connection: close`).
+        /// (`Connection: close`, or HTTP/1.0).
         close: bool,
     },
-    /// Report cache statistics (`#stats` / `GET /stats`), answered at
-    /// receipt time without entering the queue.
+    /// Report cache statistics (`GET /stats`), answered at receipt
+    /// time without entering the queue.
     Stats {
         /// Close the connection after the response.
         close: bool,
     },
-    /// Report the Prometheus metrics exposition (`GET /metrics` /
-    /// `#metrics`), answered at receipt time without entering the
-    /// queue.
+    /// Report the Prometheus metrics exposition (`GET /metrics`),
+    /// answered at receipt time without entering the queue.
     Metrics {
         /// Close the connection after the response.
         close: bool,
     },
-    /// Report the slow-query trace (`GET /debug/slow` / `#slow`),
-    /// answered at receipt time.
+    /// Report the slow-query trace (`GET /debug/slow`), answered at
+    /// receipt time.
     DebugSlow {
         /// Close the connection after the response.
         close: bool,
     },
-    /// Apply a dictionary delta (`POST /admin/dict/delta` / `#dict`),
-    /// answered at receipt time: the body is the delta TSV
+    /// Apply a dictionary delta (`POST /admin/dict/delta`), answered
+    /// at receipt time: the body is the delta TSV
     /// ([`websyn_core::DictDelta::parse_tsv`] — `surface\tentity`
     /// upserts, `surface\t-` tombstones), applied live to the serving
     /// dictionary without a restart or base recompile.
@@ -80,7 +51,7 @@ pub enum Request {
         /// Close the connection after the response.
         close: bool,
     },
-    /// Answer with a protocol-rendered error.
+    /// Answer with an error response.
     Reject {
         /// Why the request was rejected.
         reject: Reject,
@@ -90,119 +61,39 @@ pub enum Request {
     },
 }
 
-/// Why a request could not be served. Rejects are semantic so each
-/// protocol renders them natively; the connection layer produces
+/// Why a request could not be served. The connection layer produces
 /// `Busy`, `Shutdown` and `TooLarge` itself, parsers produce the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reject {
-    /// The request queue is full — explicit backpressure
-    /// (`ERR busy` / HTTP `503`).
+    /// The request queue is full — explicit backpressure (`503`).
     Busy,
-    /// The server is shutting down (`ERR shutting-down` / HTTP `503`).
+    /// The server is shutting down (`503`).
     Shutdown,
-    /// A protocol line exceeded the configured size cap; the
-    /// connection is dropped after the reject
-    /// (`ERR line-too-long` / HTTP `431`).
+    /// A request or header line exceeded the configured size cap; the
+    /// connection is dropped after the reject (`431`).
     TooLarge,
-    /// The request could not be parsed (HTTP `400`).
+    /// The request could not be parsed (`400`).
     Malformed,
-    /// The request named an unknown control or endpoint
-    /// (`ERR unknown-control` / HTTP `404`).
+    /// The request named an unknown endpoint (`404`).
     NotFound,
-    /// The HTTP method is not supported (HTTP `405`; the line protocol
-    /// never produces this).
+    /// The method is not supported (`405`).
     Method,
 }
 
-/// A transport protocol the server can speak. Implementations are
-/// shared across connections ([`Send`] + [`Sync`]); per-connection
-/// parse state lives in the [`RequestParser`] they hand out.
+/// The framing side of a transport. Shared across connections
+/// ([`Send`] + [`Sync`]); per-connection parse state lives in the
+/// [`RequestParser`] it hands out.
 pub trait Protocol: Send + Sync + 'static {
-    /// Short name for logs and diagnostics (`"line"`, `"http"`).
-    fn name(&self) -> &'static str;
-
-    /// Which pre-rendered cache form this protocol writes.
-    fn wire(&self) -> Wire;
-
-    /// Bytes appended after every response payload. The line protocol
-    /// terminates responses with `\n`; HTTP responses are self-framed
-    /// (status line + `Content-Length`) and append nothing.
-    fn terminator(&self) -> &'static [u8];
-
     /// Fresh parser state for one connection.
     fn parser(&self) -> Box<dyn RequestParser>;
-
-    /// Renders a semantic reject as a complete response payload.
-    fn render_reject(&self, reject: Reject) -> Arc<str>;
-
-    /// Renders a statistics response. `window` carries the matcher's
-    /// cross-batch window-cache counters when one is attached
-    /// ([`websyn_core::EntityMatcher::with_window_cache`]); `dict`
-    /// carries the dictionary lifecycle counters (segment count, live
-    /// delta sizes, epoch, compactions); `uptime_seconds` is the
-    /// engine's age.
-    fn render_stats(
-        &self,
-        stats: &CacheStats,
-        swaps: u64,
-        window: Option<websyn_core::WindowCacheStats>,
-        dict: websyn_core::DictStats,
-        uptime_seconds: u64,
-    ) -> Arc<str>;
-
-    /// Renders the response to a successfully applied dictionary
-    /// delta: `applied` is the op count of the delta, `dict` the
-    /// post-apply lifecycle counters. Protocols without a delta
-    /// endpoint render their not-found reject.
-    fn render_dict_delta(&self, applied: usize, dict: &websyn_core::DictStats) -> Arc<str> {
-        let _ = (applied, dict);
-        self.render_reject(Reject::NotFound)
-    }
-
-    /// Wraps an already-assembled Prometheus text exposition as a
-    /// complete response payload. Protocols without a metrics endpoint
-    /// (their parsers never produce [`Request::Metrics`]) render their
-    /// not-found reject.
-    fn render_metrics(&self, body: &str) -> Arc<str> {
-        let _ = body;
-        self.render_reject(Reject::NotFound)
-    }
-
-    /// Wraps the slow-query trace JSON as a complete response payload.
-    /// Same default as [`Protocol::render_metrics`].
-    fn render_slow(&self, body: &str) -> Arc<str> {
-        let _ = body;
-        self.render_reject(Reject::NotFound)
-    }
 }
 
 /// Per-connection request framing: the connection layer feeds complete
-/// protocol lines (terminator stripped, raw bytes — decoding is the
-/// parser's business) and gets a [`Request`] back whenever one is
-/// fully framed. Line-oriented protocols answer every line; HTTP
-/// accumulates a request head and answers on the blank line.
+/// lines (terminator stripped, raw bytes — decoding is the parser's
+/// business) and gets a [`Request`] back whenever one is fully framed.
 pub trait RequestParser: Send {
-    /// Consumes one protocol line. `raw` carries no trailing `\n`
-    /// (a trailing `\r` is the parser's to strip). Returns a request
-    /// once one is complete.
+    /// Consumes one line. `raw` carries no trailing `\n` (a trailing
+    /// `\r` is the parser's to strip). Returns a request once one is
+    /// complete.
     fn on_line(&mut self, raw: &[u8]) -> Option<Request>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reject_and_request_are_plain_data() {
-        // The enums are the cross-protocol vocabulary: equality and
-        // Copy/Clone semantics are part of the contract.
-        assert_eq!(Reject::Busy, Reject::Busy);
-        let r = Request::Query {
-            query: "indy 4".to_string(),
-            close: false,
-        };
-        assert_eq!(r.clone(), r);
-        assert_eq!(Wire::Line, Wire::Line);
-        assert_ne!(Wire::Line, Wire::Http);
-    }
 }

@@ -1,20 +1,18 @@
 //! The TCP front end: accept loop, pipelined connections, result-cache
-//! probe, batch aggregation of misses, worker pool, graceful shutdown —
-//! all transport-agnostic.
+//! probe, batch aggregation of misses, worker pool, graceful shutdown.
 //!
-//! The server speaks whatever [`Protocol`] it was started with
-//! ([`Server::start_with`]); [`Server::start`] defaults to the original
-//! line protocol. Everything below the protocol boundary — byte-level
-//! line accumulation, size caps, timeouts, the queue, the workers, the
-//! response re-sequencer — is shared by every transport.
+//! [`Server::start`] serves HTTP/1.1 ([`HttpProtocol`]). The connection
+//! layer owns byte-level line accumulation, size caps and timeouts; the
+//! protocol's [`RequestParser`](crate::RequestParser) frames those
+//! lines into requests.
 //!
 //! Threading model (all std, shared-nothing where it matters):
 //!
 //! - an **accept thread** owns the listener and spawns one handler per
 //!   connection;
 //! - each **connection** runs a reader and a writer. The reader
-//!   accumulates protocol lines, feeds them through the connection's
-//!   [`RequestParser`], and probes the result cache for every query
+//!   accumulates request lines, feeds them through the connection's
+//!   parser, and probes the result cache for every query
 //!   right after parse ([`Engine::probe`]). A **hit** is answered on the
 //!   spot: its pre-rendered payload goes straight to the writer, with
 //!   no queue and no batch window. Only a **miss** becomes a job in the
@@ -31,23 +29,22 @@
 //!   waits for the rest of its batch. The workers *are* the shards:
 //!   each processes its batch sequentially on its own core with one
 //!   dictionary snapshot and one private [`websyn_core::MatchScratch`];
-//!   every result is rendered once per wire format when it fills the
-//!   cache, so the next hit writes without any formatting work on *any*
-//!   transport;
+//!   every result is rendered once when it fills the cache, so the next
+//!   hit writes without any formatting work;
 //! - **backpressure**: a miss that finds the queue full is rejected
-//!   immediately with the protocol's rendering of [`Reject::Busy`]
-//!   (`ERR busy` / HTTP `503`) instead of queueing unboundedly — the
-//!   client sees the overload in-band, in request order;
+//!   immediately with [`Reject::Busy`] (`503`) instead of queueing
+//!   unboundedly — the client sees the overload in-band, in request
+//!   order;
 //! - **shutdown**: [`ServerHandle::shutdown`] flips a flag, nudges the
 //!   accept loop awake, joins every connection (readers poll the flag
 //!   on a read timeout), closes the queue — pending requests still
 //!   drain — and joins the workers. Misses racing the wind-down get
-//!   [`Reject::Shutdown`] (`ERR shutting-down` / HTTP `503`).
+//!   [`Reject::Shutdown`] (`503`).
 
 use crate::engine::{Engine, Probe};
+use crate::http::HttpProtocol;
 use crate::metrics::{self, as_us, ServeMetrics, SlowEntry};
-use crate::proto::LineProtocol;
-use crate::protocol::{Protocol, Reject, Request, Wire};
+use crate::protocol::{Protocol, Reject, Request};
 use crate::queue::{BoundedQueue, PushError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -67,9 +64,8 @@ pub struct ServerConfig {
     /// Worker threads draining the request queue. Defaults to the
     /// machine's available parallelism.
     pub workers: usize,
-    /// Request queue capacity; pushes beyond it are rejected with the
-    /// protocol's busy rendering (explicit backpressure, no unbounded
-    /// growth).
+    /// Request queue capacity; pushes beyond it are rejected with a
+    /// `503` (explicit backpressure, no unbounded growth).
     pub queue_depth: usize,
     /// Maximum cache misses a worker coalesces into one matcher batch.
     pub batch_max: usize,
@@ -83,8 +79,8 @@ pub struct ServerConfig {
     /// Socket write timeout; a client that stops reading for this long
     /// has its connection dropped.
     pub write_timeout: Duration,
-    /// Maximum protocol-line length in bytes (a query line, or one
-    /// HTTP request/header line). A connection that exceeds it (e.g.
+    /// Maximum line length in bytes (one HTTP request, header or body
+    /// line). A connection that exceeds it (e.g.
     /// streams data with no newline) gets one reject and is dropped —
     /// per-connection buffering stays bounded no matter what the client
     /// sends.
@@ -201,7 +197,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Maximum protocol-line length in bytes (clamped to ≥ 1).
+    /// Maximum line length in bytes (clamped to ≥ 1).
     pub fn max_line_bytes(mut self, bytes: usize) -> Self {
         self.config.max_line_bytes = bytes;
         self
@@ -246,41 +242,39 @@ impl ServerConfigBuilder {
 }
 
 /// A sequenced response on its way back to a connection's writer: the
-/// payload (terminator-free), and whether the connection closes after
-/// writing it.
+/// payload, and whether the connection closes after writing it.
 type Reply = (u64, Arc<str>, bool);
 
 /// One queued cache miss: the decoded query and its normalized cache
-/// key, its per-connection sequence number, which wire rendering to
-/// answer with, whether the connection closes after the response, and
-/// the connection's response channel.
+/// key, its per-connection sequence number, whether the connection
+/// closes after the response, and the connection's response channel.
 struct Job {
     seq: u64,
     query: String,
     /// `normalized(query)`, computed once by the reader's probe.
     key: String,
-    wire: Wire,
     close: bool,
     reply: Sender<Reply>,
-    /// When the request's first protocol line was read — the anchor of
+    /// When the request's first line was read — the anchor of
     /// the slow-trace total.
     received_at: Instant,
     /// When the job entered the queue (queue-wait stage starts here).
     enqueued_at: Instant,
-    /// Protocol parse time, microseconds.
+    /// Request parse time, microseconds.
     parse_us: u64,
     /// The reader's result-cache probe time, microseconds.
     cache_us: u64,
 }
 
-/// The serving front end. `start`/`start_with` are the only entry
-/// points; the running server is controlled through the returned
-/// [`ServerHandle`].
+/// The serving front end. `start` is the only entry point; the running
+/// server is controlled through the returned [`ServerHandle`].
 pub struct Server;
 
 impl Server {
-    /// Binds `addr` and serves the line protocol — equivalent to
-    /// [`Server::start_with`] with [`LineProtocol`].
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port),
+    /// spawns the accept loop and worker pool serving HTTP/1.1, and
+    /// returns immediately. One engine may back any number of servers,
+    /// which then share one cache.
     ///
     /// # Errors
     /// Returns the bind error if the address is unavailable.
@@ -288,22 +282,6 @@ impl Server {
         engine: Arc<Engine>,
         addr: A,
         config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        Self::start_with(engine, addr, config, Arc::new(LineProtocol))
-    }
-
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port),
-    /// spawns the accept loop and worker pool serving `protocol`, and
-    /// returns immediately. One engine may back any number of servers —
-    /// e.g. a line endpoint and an HTTP endpoint sharing one cache.
-    ///
-    /// # Errors
-    /// Returns the bind error if the address is unavailable.
-    pub fn start_with<A: ToSocketAddrs>(
-        engine: Arc<Engine>,
-        addr: A,
-        config: ServerConfig,
-        protocol: Arc<dyn Protocol>,
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -325,16 +303,14 @@ impl Server {
             let queue = Arc::clone(&queue);
             let engine = Arc::clone(&engine);
             let shutdown = Arc::clone(&shutdown);
-            let protocol = Arc::clone(&protocol);
             std::thread::spawn(move || {
-                accept_loop(&listener, &engine, &queue, &shutdown, &protocol, config);
+                accept_loop(&listener, &engine, &queue, &shutdown, config);
             })
         };
 
         Ok(ServerHandle {
             addr: local_addr,
             engine,
-            protocol,
             queue,
             shutdown,
             accept: Some(accept),
@@ -349,7 +325,6 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     engine: Arc<Engine>,
-    protocol: Arc<dyn Protocol>,
     queue: Arc<BoundedQueue<Job>>,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -368,11 +343,6 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// The protocol this server speaks.
-    pub fn protocol(&self) -> &Arc<dyn Protocol> {
-        &self.protocol
-    }
-
     /// Gracefully stops the server: no new connections, in-flight
     /// requests drain, every thread is joined. Returns once everything
     /// has stopped.
@@ -387,8 +357,7 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::SeqCst);
         // Close the queue first: already-accepted requests drain and
         // get real responses, while anything arriving during the
-        // wind-down is rejected in-band with the protocol's shutdown
-        // rendering instead of being served from a dying process.
+        // wind-down is rejected in-band with a shutdown `503` instead of being served from a dying process.
         self.queue.close();
         // The accept loop polls a nonblocking listener, so it observes
         // the flag within one poll interval on its own. The self-
@@ -416,7 +385,6 @@ fn accept_loop(
     engine: &Arc<Engine>,
     queue: &Arc<BoundedQueue<Job>>,
     shutdown: &Arc<AtomicBool>,
-    protocol: &Arc<dyn Protocol>,
     config: ServerConfig,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
@@ -465,9 +433,8 @@ fn accept_loop(
         let engine = Arc::clone(engine);
         let queue = Arc::clone(queue);
         let shutdown = Arc::clone(shutdown);
-        let protocol = Arc::clone(protocol);
         handlers.push(std::thread::spawn(move || {
-            let _ = handle_connection(stream, &engine, &queue, &shutdown, &*protocol, config);
+            let _ = handle_connection(stream, &engine, &queue, &shutdown, config);
         }));
     }
     for handle in handlers {
@@ -488,8 +455,7 @@ fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>, config: ServerConfig)
         // (first take → handover, clipped to the job's own arrival for
         // items that joined mid-window). Clipping keeps each request's
         // stage spans disjoint, so summed stage time can never exceed
-        // summed end-to-end latency — the invariant bench_check holds
-        // the committed artifact to.
+        // summed end-to-end latency.
         let assembled = Instant::now();
         for job in &batch {
             m.queue_wait.record(as_us(
@@ -522,9 +488,7 @@ fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>, config: ServerConfig)
             }
             // A send error means the connection died mid-flight; the
             // result is simply dropped.
-            let _ = job
-                .reply
-                .send((job.seq, rendered.for_wire(job.wire), job.close));
+            let _ = job.reply.send((job.seq, rendered.http, job.close));
         });
     }
 }
@@ -536,7 +500,6 @@ fn handle_connection(
     engine: &Arc<Engine>,
     queue: &Arc<BoundedQueue<Job>>,
     shutdown: &Arc<AtomicBool>,
-    protocol: &dyn Protocol,
     config: ServerConfig,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
@@ -545,8 +508,8 @@ fn handle_connection(
     let read_half = stream.try_clone()?;
     let (tx, rx) = std::sync::mpsc::channel::<Reply>();
     std::thread::scope(|scope| {
-        scope.spawn(|| reader_loop(read_half, engine, queue, shutdown, protocol, tx, config));
-        let result = writer_loop(&stream, rx, protocol.terminator(), engine.metrics());
+        scope.spawn(|| reader_loop(read_half, engine, queue, shutdown, tx, config));
+        let result = writer_loop(&stream, rx, engine.metrics());
         // If the writer died first (write timeout — the client stopped
         // reading — or a close-marked response), the reader would
         // otherwise keep parsing and enqueuing work whose results
@@ -559,7 +522,7 @@ fn handle_connection(
     })
 }
 
-/// Feeds protocol lines through the connection's [`RequestParser`] and
+/// Feeds request lines through the connection's parser and
 /// dispatches the requests it produces; responds in-band to result-cache
 /// hits, stats requests, parse rejects and backpressure rejects (through
 /// the same sequenced channel, so ordering is preserved) and queues the
@@ -569,11 +532,10 @@ fn reader_loop(
     engine: &Engine,
     queue: &BoundedQueue<Job>,
     shutdown: &AtomicBool,
-    protocol: &dyn Protocol,
     reply: Sender<Reply>,
     config: ServerConfig,
 ) {
-    let wire = protocol.wire();
+    let protocol = HttpProtocol;
     let mut parser = protocol.parser();
     let m = engine.metrics();
     let mut reader = BufReader::new(read_half);
@@ -584,14 +546,14 @@ fn reader_loop(
     // business decoding is.
     let mut line: Vec<u8> = Vec::new();
     let mut seq = 0u64;
-    // Parse-stage accounting. A request may span many protocol lines
-    // (HTTP headers), so parse time accumulates across `on_line` calls
+    // Parse-stage accounting. A request spans many lines (headers),
+    // so parse time accumulates across `on_line` calls
     // and `request_started` anchors at the request's *first* line —
     // that instant is the receipt time the slow trace measures from.
     let mut parse_acc = Duration::ZERO;
     let mut request_started: Option<Instant> = None;
     // Dispatches one complete (still byte-form, terminator-stripped)
-    // protocol line; returns false when reading must stop — the writer
+    // line; returns false when reading must stop — the writer
     // is gone, or a close-marked request was dispatched.
     let mut handle = |raw: &[u8], seq: &mut u64| -> bool {
         let line_start = Instant::now();
@@ -599,7 +561,7 @@ fn reader_loop(
         let parsed = parser.on_line(raw);
         parse_acc += line_start.elapsed();
         let Some(request) = parsed else {
-            // Mid-request (an HTTP header line): nothing to answer yet,
+            // Mid-request (a header line): nothing to answer yet,
             // and no sequence number consumed.
             return true;
         };
@@ -626,13 +588,12 @@ fn reader_loop(
                             render_us: 0,
                         });
                     }
-                    (Some(rendered.for_wire(wire)), close)
+                    (Some(rendered.http), close)
                 }
                 (Probe::Miss(key), cache_us) => match queue.push(Job {
                     seq: *seq,
                     query,
                     key,
-                    wire,
                     close,
                     reply: reply.clone(),
                     received_at,
@@ -693,7 +654,7 @@ fn reader_loop(
         *seq += 1;
         // After a close-marked request the client gets its response
         // (the writer exits after writing it) but nothing further is
-        // read — for HTTP this is `Connection: close` semantics.
+        // read — `Connection: close` semantics.
         alive && !close
     };
     loop {
@@ -758,17 +719,11 @@ fn reader_loop(
 
 /// Writes responses in request order: cache hits overtake queued
 /// misses and workers answer misses out of order, so responses park in
-/// a min-heap until their predecessor has been written. Each payload is
-/// followed by the protocol's terminator (`\n` for the line protocol;
-/// nothing for self-framed HTTP responses). A close-marked response is the
+/// a min-heap until their predecessor has been written. Responses are
+/// self-framed (`Content-Length`). A close-marked response is the
 /// connection's last: the writer flushes it and exits, which closes
 /// the socket.
-fn writer_loop(
-    stream: &TcpStream,
-    rx: Receiver<Reply>,
-    terminator: &[u8],
-    metrics: &ServeMetrics,
-) -> io::Result<()> {
+fn writer_loop(stream: &TcpStream, rx: Receiver<Reply>, metrics: &ServeMetrics) -> io::Result<()> {
     let mut out = BufWriter::new(stream);
     let mut pending: BinaryHeap<Reverse<Reply>> = BinaryHeap::new();
     let mut next = 0u64;
@@ -790,7 +745,6 @@ fn writer_loop(
         {
             let Reverse((_, response, close)) = pending.pop().expect("peeked");
             out.write_all(response.as_bytes())?;
-            out.write_all(terminator)?;
             next += 1;
             wrote = true;
             if close {

@@ -1,10 +1,10 @@
 //! Live-socket tests of the result-cache hit path: hits are answered on
 //! the connection thread without entering the miss queue, a pipelined
 //! mix of hits and misses comes back in request order and byte-equal to
-//! direct segmentation on both wires (across a live dictionary delta),
-//! and every read is counted exactly once in `hits`/`misses`.
+//! direct segmentation (across a live dictionary delta), and every read
+//! is counted exactly once in `hits`/`misses`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -12,9 +12,7 @@ use std::time::{Duration, Instant};
 use websyn_common::EntityId;
 use websyn_core::{EntityMatcher, FuzzyConfig};
 use websyn_serve::http::{percent_encode, read_response, spans_json};
-use websyn_serve::{
-    format_spans, Engine, HttpProtocol, LineProtocol, Protocol, Server, ServerConfig, ServerHandle,
-};
+use websyn_serve::{Engine, Server, ServerConfig, ServerHandle};
 
 fn matcher() -> EntityMatcher {
     EntityMatcher::from_pairs(vec![
@@ -26,89 +24,53 @@ fn matcher() -> EntityMatcher {
     .with_fuzzy(FuzzyConfig::default())
 }
 
-fn start(config: ServerConfig, protocol: Arc<dyn Protocol>) -> (Arc<Engine>, ServerHandle) {
+fn start(config: ServerConfig) -> (Arc<Engine>, ServerHandle) {
     let engine = Arc::new(
         Engine::builder(Arc::new(matcher()))
             .cache_shards(4)
             .cache_capacity(256)
             .build(),
     );
-    let server = Server::start_with(Arc::clone(&engine), "127.0.0.1:0", config, protocol)
-        .expect("bind ephemeral port");
+    let server =
+        Server::start(Arc::clone(&engine), "127.0.0.1:0", config).expect("bind ephemeral port");
     (engine, server)
 }
 
-/// One pipelining client for either wire.
+/// One pipelining HTTP client.
 struct Client {
     conn: TcpStream,
     reader: BufReader<TcpStream>,
-    http: bool,
 }
 
 impl Client {
-    fn connect(server: &ServerHandle, http: bool) -> Self {
+    fn connect(server: &ServerHandle) -> Self {
         let conn = TcpStream::connect(server.addr()).expect("connect");
         let reader = BufReader::new(conn.try_clone().expect("clone"));
-        Self { conn, reader, http }
+        Self { conn, reader }
     }
 
     /// The request bytes for one read.
-    fn query(&self, q: &str) -> String {
-        if self.http {
-            format!("GET /match?q={} HTTP/1.1\r\n\r\n", percent_encode(q))
-        } else {
-            format!("{q}\n")
-        }
+    fn query(q: &str) -> String {
+        format!("GET /match?q={} HTTP/1.1\r\n\r\n", percent_encode(q))
     }
 
     /// The request bytes for one dictionary delta (TSV rows).
-    fn delta(&self, tsv: &str) -> String {
-        if self.http {
-            format!(
-                "POST /admin/dict/delta HTTP/1.1\r\nContent-Length: {}\r\n\r\n{tsv}",
-                tsv.len()
-            )
-        } else {
-            let fields: Vec<&str> = tsv.lines().flat_map(|row| row.split('\t')).collect();
-            format!("#dict\t{}\n", fields.join("\t"))
-        }
+    fn delta(tsv: &str) -> String {
+        format!(
+            "POST /admin/dict/delta HTTP/1.1\r\nContent-Length: {}\r\n\r\n{tsv}",
+            tsv.len()
+        )
     }
 
     fn send(&mut self, bytes: &str) {
         self.conn.write_all(bytes.as_bytes()).expect("send");
     }
 
-    /// The next response: the JSON body on HTTP (which must be a 200),
-    /// the whole line on the line protocol.
+    /// The JSON body of the next response, which must be a 200.
     fn recv(&mut self) -> String {
-        if self.http {
-            let (status, body) = read_response(&mut self.reader).expect("response");
-            assert_eq!(status, 200, "{body}");
-            body
-        } else {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).expect("recv");
-            assert!(line.ends_with('\n'), "truncated response {line:?}");
-            line.trim_end().to_string()
-        }
-    }
-
-    /// What direct segmentation by `m` renders for `q` on this wire.
-    fn golden(&self, m: &EntityMatcher, q: &str) -> String {
-        let spans = m.segment(q);
-        if self.http {
-            spans_json(&spans)
-        } else {
-            format_spans(&spans)
-        }
-    }
-}
-
-fn protocol(http: bool) -> Arc<dyn Protocol> {
-    if http {
-        Arc::new(HttpProtocol)
-    } else {
-        Arc::new(LineProtocol)
+        let (status, body) = read_response(&mut self.reader).expect("response");
+        assert_eq!(status, 200, "{body}");
+        body
     }
 }
 
@@ -120,14 +82,14 @@ fn hits_are_answered_without_waiting_for_the_miss_batch() {
         .workers(1)
         .batch_window(Duration::from_secs(2))
         .build();
-    let (engine, server) = start(config, protocol(true));
+    let (engine, server) = start(config);
     let m = engine.matcher();
     let warm = "Indy 4 tonight";
     engine.resolve(warm);
     let cold = "cheapest cannon eos 350d deals";
 
-    let mut a = Client::connect(&server, true);
-    a.send(&a.query(cold));
+    let mut a = Client::connect(&server);
+    a.send(&Client::query(cold));
     let (a_tx, a_rx) = mpsc::channel();
     let a_reader = std::thread::spawn(move || {
         let body = a.recv();
@@ -139,8 +101,8 @@ fn hits_are_answered_without_waiting_for_the_miss_batch() {
     while engine.cache_stats().misses < 2 {
         std::thread::yield_now();
     }
-    let mut b = Client::connect(&server, true);
-    b.send(&b.query(warm));
+    let mut b = Client::connect(&server);
+    b.send(&Client::query(warm));
     assert_eq!(b.recv(), spans_json(&m.segment(warm)));
     let b_answered = Instant::now();
     assert!(
@@ -173,22 +135,23 @@ const POOL: [&str; 10] = [
 ];
 const DELTA: &str = "starwars kid\t9\nmadagascar 2\t-\n";
 
-fn pipelined_mix_across_a_delta(http: bool) {
-    let (engine, server) = start(ServerConfig::default(), protocol(http));
+#[test]
+fn pipelined_hits_and_misses_stay_ordered_and_exact() {
+    let (engine, server) = start(ServerConfig::default());
     for q in &POOL[..4] {
         engine.resolve(q);
     }
     let reads: Vec<&str> = (0..120).map(|i| POOL[(i * 7) % POOL.len()]).collect();
-    let mut client = Client::connect(&server, http);
+    let mut client = Client::connect(&server);
 
     // Revision 0: the whole mix in one write.
     let before = engine.matcher();
-    let burst: String = reads.iter().map(|q| client.query(q)).collect();
+    let burst: String = reads.iter().map(|q| Client::query(q)).collect();
     client.send(&burst);
     for (i, q) in reads.iter().enumerate() {
         assert_eq!(
             client.recv(),
-            client.golden(&before, q),
+            spans_json(&before.segment(q)),
             "rev 0 read {i} {q:?}"
         );
     }
@@ -196,11 +159,11 @@ fn pipelined_mix_across_a_delta(http: bool) {
     // The delta, then the same mix, pipelined in one write: the reader
     // applies the delta before it parses the reads behind it, so they
     // all resolve at revision 1 — hits included.
-    let mut burst = client.delta(DELTA);
-    burst.extend(reads.iter().map(|q| client.query(q)));
+    let mut burst = Client::delta(DELTA);
+    burst.extend(reads.iter().map(|q| Client::query(q)));
     client.send(&burst);
     let ack = client.recv();
-    assert!(ack.contains("applied") && ack.contains('2'), "{ack:?}");
+    assert!(ack.starts_with("{\"applied\":2,"), "{ack:?}");
     let after = engine.matcher();
     assert_ne!(
         before.segment("madagascar 2 showtimes"),
@@ -209,23 +172,13 @@ fn pipelined_mix_across_a_delta(http: bool) {
     for (i, q) in reads.iter().enumerate() {
         assert_eq!(
             client.recv(),
-            client.golden(&after, q),
+            spans_json(&after.segment(q)),
             "rev 1 read {i} {q:?}"
         );
     }
     let stats = engine.cache_stats();
     assert!(stats.hits > 0 && stats.promotions > 0, "{stats:?}");
     server.shutdown();
-}
-
-#[test]
-fn pipelined_hits_and_misses_stay_ordered_and_exact_over_http() {
-    pipelined_mix_across_a_delta(true);
-}
-
-#[test]
-fn pipelined_hits_and_misses_stay_ordered_and_exact_over_the_line_protocol() {
-    pipelined_mix_across_a_delta(false);
 }
 
 /// The integer value of `"field":N` in a flat JSON object.
@@ -245,8 +198,8 @@ fn json_u64(json: &str, field: &str) -> u64 {
 
 #[test]
 fn every_read_is_counted_exactly_once() {
-    let (engine, server) = start(ServerConfig::default(), protocol(true));
-    let mut client = Client::connect(&server, true);
+    let (engine, server) = start(ServerConfig::default());
+    let mut client = Client::connect(&server);
     let stats = |client: &mut Client| {
         client.send("GET /stats HTTP/1.1\r\n\r\n");
         let body = client.recv();
@@ -264,14 +217,14 @@ fn every_read_is_counted_exactly_once() {
         "Nothing!",
     ];
     for q in reads {
-        client.send(&client.query(q));
+        client.send(&Client::query(q));
         assert_eq!(client.recv(), spans_json(&engine.matcher().segment(q)));
     }
     assert_eq!(stats(&mut client), (4, 3));
     // A pipelined burst: whether a repeat hits or misses depends on
     // timing, but each read is probed — and counted — once.
     let burst: String = (0..200)
-        .map(|i| client.query(&format!("canon eos 350d listing {}", i % 50)))
+        .map(|i| Client::query(&format!("canon eos 350d listing {}", i % 50)))
         .collect();
     client.send(&burst);
     for _ in 0..200 {

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use websyn_common::EntityId;
+use websyn_common::{EntityId, SeedSequence, Zipf};
 use websyn_core::{EntityMatcher, FuzzyConfig};
 use websyn_serve::cluster::{Cluster, ClusterConfig};
 use websyn_serve::http::{percent_encode, read_response, spans_json};
@@ -81,7 +81,10 @@ impl Client {
     }
 
     fn get(&mut self, target: &str) -> (u16, String) {
-        write!(self.conn, "GET {target} HTTP/1.1\r\n\r\n").expect("send");
+        // One write per request: a formatted write would reach the
+        // socket in pieces and stall on Nagle + delayed ACK.
+        let request = format!("GET {target} HTTP/1.1\r\n\r\n");
+        self.conn.write_all(request.as_bytes()).expect("send");
         read_response(&mut self.reader).expect("response")
     }
 
@@ -159,7 +162,10 @@ fn killing_a_worker_loses_no_client_requests() {
             let want = (200, spans_json(&oracle.segment(query)));
             assert_eq!(client.ask(query), want, "during outage: {query:?}");
             served += 1;
-            if cluster.healthy_workers() == 3 {
+            // Recovery is the victim restarted *and* back in the ring;
+            // right after the kill the fleet can still read healthy
+            // because the monitor has not probed yet.
+            if cluster.restarts() >= 1 && cluster.healthy_workers() == 3 {
                 break 'outage;
             }
         }
@@ -327,4 +333,98 @@ fn rolling_restart_onto_a_new_artifact_serves_the_new_dictionary() {
     cluster.shutdown();
     let _ = std::fs::remove_file(dict);
     let _ = std::fs::remove_file(new_dict);
+}
+
+/// Hash partitioning aggregates the fleet's cache capacity: with
+/// replication 1 every distinct query has one home worker, so a
+/// working set three times one worker's cache thrashes a single
+/// worker but fits a 4-worker fleet. Read through the router's
+/// aggregated `/stats`, the hit rate must show both sides — at or
+/// below 0.6 on one worker, at or above 0.9 on four — and every answer
+/// must still be the single-process oracle's.
+#[test]
+fn fleet_hit_rate_proves_partitioned_cache_aggregation() {
+    const DISTINCT: usize = 300;
+    const CAPACITY: usize = 100;
+    const READS: usize = 6_000;
+    const CLIENTS: usize = 4;
+    let oracle = test_matcher();
+    let pool: Vec<String> = (0..DISTINCT)
+        .map(|i| format!("looking for test entity {} listing {i}", i % 40))
+        .collect();
+    let golden: Vec<String> = pool
+        .iter()
+        .map(|q| spans_json(&oracle.segment(q)))
+        .collect();
+    let zipf = Zipf::new(DISTINCT, 0.4).expect("zipf params");
+    let mut rng = SeedSequence::new(42).rng("fleet_hit_rate");
+    let stream: Vec<usize> = (0..READS).map(|_| zipf.sample(&mut rng)).collect();
+
+    let hit_rate = |workers: usize| -> f64 {
+        let dict = dict_file(&format!("hit-rate-x{workers}"));
+        let cluster = Cluster::start(
+            "127.0.0.1:0",
+            ClusterConfig {
+                workers,
+                replication: 1,
+                dict: Some(dict.to_string_lossy().into_owned()),
+                // One cache shard: each worker's capacity is one exact
+                // LRU, so the bound measures partitioning alone.
+                worker_args: [
+                    "--workers",
+                    "2",
+                    "--batch-window-us",
+                    "0",
+                    "--cache-shards",
+                    "1",
+                    "--cache-capacity",
+                ]
+                .iter()
+                .map(|a| a.to_string())
+                .chain([CAPACITY.to_string()])
+                .collect(),
+                worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_websyn-cluster"))),
+                probe_interval: Duration::from_millis(25),
+                ..ClusterConfig::default()
+            },
+        )
+        .expect("start cluster");
+        std::thread::scope(|scope| {
+            for ranks in stream.chunks(READS.div_ceil(CLIENTS)) {
+                let (pool, golden) = (&pool, &golden);
+                let addr = cluster.addr();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr);
+                    for &rank in ranks {
+                        let want = (200, golden[rank].clone());
+                        assert_eq!(client.ask(&pool[rank]), want, "{:?}", pool[rank]);
+                    }
+                });
+            }
+        });
+        let (status, stats) = Client::connect(cluster.addr()).get("/stats");
+        assert_eq!(status, 200, "{stats}");
+        cluster.shutdown();
+        let _ = std::fs::remove_file(dict);
+        let tag = "\"hit_rate\":";
+        let at = stats.find(tag).expect("hit_rate") + tag.len();
+        stats[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.')
+            .collect::<String>()
+            .parse()
+            .expect("hit rate")
+    };
+    let single = hit_rate(1);
+    assert!(
+        single <= 0.6,
+        "single-worker hit rate {single:.2} above 0.6: the working set fits one \
+         worker's cache, so the fleet comparison measures nothing"
+    );
+    let fleet = hit_rate(4);
+    assert!(
+        fleet >= 0.9,
+        "4-worker hit rate {fleet:.2} below 0.9: hash partitioning no longer \
+         aggregates the fleet's cache capacity"
+    );
 }

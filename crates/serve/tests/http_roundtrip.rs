@@ -1,7 +1,10 @@
 //! Live-socket HTTP/1.1 conformance tests: keep-alive reuse, pipelined
-//! re-sequencing, error mapping (400/404/405/431/503), percent-decoding
-//! of `q`, graceful shutdown, and a JSON ≡ line-protocol spans
-//! equivalence proptest over the shared pre-rendered cache entries.
+//! re-sequencing, concurrent clients, error mapping
+//! (400/404/405/431/503), percent-decoding of `q`, the stats and
+//! observability endpoints, live dictionary replacement, the connection cap, graceful
+//! shutdown (also under a client that never stops sending), and a
+//! proptest that the pre-rendered JSON describes exactly the spans of
+//! direct segmentation.
 
 use proptest::prelude::*;
 use std::io::{BufReader, Read, Write};
@@ -11,7 +14,7 @@ use std::time::Duration;
 use websyn_common::EntityId;
 use websyn_core::{EntityMatcher, FuzzyConfig};
 use websyn_serve::http::{percent_decode, percent_encode, read_response, spans_json};
-use websyn_serve::{format_spans, Engine, HttpProtocol, Server, ServerConfig, ServerHandle, Wire};
+use websyn_serve::{Engine, Server, ServerConfig, ServerHandle};
 
 fn matcher() -> EntityMatcher {
     EntityMatcher::from_pairs(vec![
@@ -30,13 +33,8 @@ fn start(config: ServerConfig) -> (Arc<Engine>, ServerHandle) {
             .cache_capacity(256)
             .build(),
     );
-    let server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        config,
-        Arc::new(HttpProtocol),
-    )
-    .expect("bind ephemeral port");
+    let server =
+        Server::start(Arc::clone(&engine), "127.0.0.1:0", config).expect("bind ephemeral port");
     (engine, server)
 }
 
@@ -97,10 +95,23 @@ fn keep_alive_connection_answers_many_requests() {
         assert_eq!(client.ask(query), expect, "{query:?} cached");
     }
     assert!(engine.cache_stats().hits >= 4);
-    // The same socket still serves the stats endpoint afterwards.
+    // The same socket still serves the stats and observability
+    // endpoints afterwards.
     let (status, stats) = client.get("/stats");
     assert_eq!(status, 200);
     assert!(stats.starts_with("{\"hits\":"), "{stats:?}");
+    assert!(stats.contains("\"swaps\":0"), "{stats}");
+    let (status, metrics) = client.get("/metrics");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.starts_with("# TYPE websyn_uptime_seconds gauge\n"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("websyn_stage_duration_us"), "{metrics}");
+    let (status, slow) = client.get("/debug/slow");
+    assert_eq!(status, 200);
+    assert!(slow.starts_with("{\"threshold_us\":"), "{slow}");
+    assert!(slow.ends_with("]}"), "{slow}");
     server.shutdown();
 }
 
@@ -309,6 +320,12 @@ fn oversized_request_lines_get_431_and_disconnect() {
     assert_eq!(status, 431);
     assert_eq!(body, "{\"error\":\"line-too-long\"}");
     assert_eq!(client.expect_eof(), 0, "connection dropped after 431");
+    // A stream with no newline at all must not buffer unboundedly:
+    // same reject, same disconnect.
+    let mut flood = Client::connect(&server);
+    flood.send(&"y".repeat(4096));
+    assert_eq!(flood.recv(), (431, "{\"error\":\"line-too-long\"}".into()));
+    assert_eq!(flood.expect_eof(), 0, "connection dropped after 431");
     // A fresh connection still works.
     let mut ok = Client::connect(&server);
     assert_eq!(ok.ask("indy 4").0, 200);
@@ -329,29 +346,115 @@ fn shutdown_is_clean_with_http_connections_open() {
     assert!(refused.is_err(), "listener must be gone after shutdown");
 }
 
-/// Parses the line-protocol rendering into `(start, end, entity,
-/// distance, surface)` tuples.
-fn line_fields(line: &str) -> Vec<(usize, usize, u64, usize, String)> {
-    let rest = line.strip_prefix("OK").expect("OK line");
-    rest.split('\t')
-        .filter(|s| !s.is_empty())
-        .map(|span| {
-            let mut parts = span.splitn(5, ',');
-            let mut next = || parts.next().expect("span field").to_string();
-            (
-                next().parse().unwrap(),
-                next().parse().unwrap(),
-                next().parse().unwrap(),
-                next().parse().unwrap(),
-                next(),
-            )
-        })
-        .collect()
+#[test]
+fn dictionary_replacement_on_a_live_server() {
+    let (engine, server) = start(ServerConfig::default());
+    let mut client = Client::connect(&server);
+    let old = (200, spans_json(&engine.matcher().segment("indy 4")));
+    assert_eq!(client.ask("indy 4"), old);
+    // Rebuild-and-swap while the connection stays open: same surface,
+    // different entity — a stale cache entry would be visible.
+    let new = EntityMatcher::from_pairs(vec![("indy 4", EntityId::new(9))])
+        .with_fuzzy(FuzzyConfig::default());
+    engine.dict().replace_base(new.clone());
+    let fresh = client.ask("indy 4");
+    assert_eq!(fresh, (200, spans_json(&new.segment("indy 4"))));
+    assert_ne!(fresh, old);
+    let (_, stats) = client.get("/stats");
+    assert!(stats.contains("\"swaps\":1"), "{stats}");
+    server.shutdown();
 }
 
-/// Parses the JSON rendering into the same tuples. The serializer's
-/// output grammar is fixed (no whitespace, fixed key order), so a
-/// split-based parse is exact — and independent of the line parser.
+#[test]
+fn connections_beyond_the_cap_are_shed() {
+    let (engine, server) = start(ServerConfig::builder().max_connections(2).build());
+    let golden = (200, spans_json(&engine.matcher().segment("indy 4")));
+    let mut a = Client::connect(&server);
+    let mut b = Client::connect(&server);
+    assert_eq!(a.ask("indy 4"), golden);
+    assert_eq!(b.ask("indy 4"), golden);
+    // Third connection: accepted by the OS, immediately dropped by the
+    // accept loop — the client sees EOF, never a hung socket.
+    let shed = Client::connect(&server);
+    shed.conn
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    assert_eq!(shed.expect_eof(), 0, "capped connection must be closed");
+    // Existing connections keep working.
+    assert_eq!(a.ask("madagascar 2").0, 200);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_completes_while_a_client_streams_continuously() {
+    // Short write timeout: the flooder never reads its responses, so
+    // the final flush may have to time out against full kernel buffers
+    // before the connection is torn down.
+    let (_engine, server) = start(
+        ServerConfig::builder()
+            .write_timeout(Duration::from_millis(300))
+            .build(),
+    );
+    let addr = server.addr();
+    // A client that never pauses between requests: without the
+    // shutdown check on the busy-reader path this would pin the
+    // connection thread and block shutdown() forever.
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let flooder = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                if conn
+                    .write_all(b"GET /match?q=indy+4+flood HTTP/1.1\r\n\r\n")
+                    .is_err()
+                {
+                    break; // server went away — expected
+                }
+            }
+        })
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    let shut = std::thread::spawn(move || server.shutdown());
+    let started = std::time::Instant::now();
+    while !shut.is_finished() {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shutdown must not hang on a busy connection"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    shut.join().expect("shutdown thread");
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    flooder.join().expect("flooder thread");
+}
+
+#[test]
+fn concurrent_clients_each_get_their_own_answers() {
+    let (engine, server) = start(ServerConfig::default());
+    let m = engine.matcher();
+    let threads: Vec<_> = (0..6)
+        .map(|t| {
+            let m = m.clone();
+            let mut client = Client::connect(&server);
+            std::thread::spawn(move || {
+                for i in 0..50 {
+                    let q = format!("client {t} asks indy 4 round {i}");
+                    assert_eq!(client.ask(&q), (200, spans_json(&m.segment(&q))), "{q:?}");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+    server.shutdown();
+}
+
+/// Parses the JSON rendering into `(start, end, entity, distance,
+/// surface)` tuples. The serializer's output grammar is fixed (no
+/// whitespace, fixed key order), so a split-based parse is exact — and
+/// independent of the serializer.
 fn json_fields(body: &str) -> Vec<(usize, usize, u64, usize, String)> {
     let inner = body
         .strip_prefix("{\"spans\":[")
@@ -390,14 +493,14 @@ fn json_fields(body: &str) -> Vec<(usize, usize, u64, usize, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The two wire renderings of one cache entry — the JSON body HTTP
-    /// writes and the `OK` line the line protocol writes — must
-    /// describe exactly the same spans, for exact hits, fuzzy hits and
-    /// misses alike. (Both transports write these entries verbatim —
-    /// the socket tests above pin that — so entry-level equivalence is
-    /// response-level equivalence.)
+    /// The pre-rendered response of one cache entry must describe
+    /// exactly the spans of direct segmentation — field for field,
+    /// read back through an independent parser — for exact hits, fuzzy
+    /// hits and misses alike, cold and warm. (The server writes these
+    /// entries verbatim — the socket tests above pin that — so
+    /// entry-level equivalence is response-level equivalence.)
     #[test]
-    fn json_and_line_renderings_describe_identical_spans(
+    fn rendered_json_describes_the_spans_of_direct_segmentation(
         mention in 0usize..6,
         noise in "[a-z0-9 ]{0,20}",
     ) {
@@ -413,15 +516,18 @@ proptest! {
         ];
         let query = format!("{} {}", MENTIONS[mention], noise);
         let engine = Engine::builder(Arc::new(matcher())).build();
-        let rendered = engine.resolve_rendered_batch(&[query.as_str()]).remove(0);
-        let line = rendered.for_wire(Wire::Line);
-        let http = rendered.for_wire(Wire::Http);
-        let body = http.split("\r\n\r\n").nth(1).expect("http body");
-        prop_assert_eq!(line_fields(&line), json_fields(body), "query {:?}", query);
-        // And both agree with a direct matcher call.
         let golden = engine.matcher().segment(&query);
-        prop_assert_eq!(&*line, format_spans(&golden).as_str());
-        prop_assert_eq!(body, spans_json(&golden).as_str());
+        let fields: Vec<_> = golden
+            .iter()
+            .map(|s| (s.start, s.end, u64::from(s.entity.raw()), s.distance, s.surface().to_string()))
+            .collect();
+        for pass in ["cold", "warm"] {
+            let rendered = engine.resolve_rendered_batch(&[query.as_str()]).remove(0);
+            let body = rendered.http.split("\r\n\r\n").nth(1).expect("http body");
+            prop_assert_eq!(json_fields(body), fields.clone(), "{} {:?}", pass, query);
+            prop_assert_eq!(body, spans_json(&golden).as_str());
+            prop_assert_eq!(&*rendered.spans, &golden);
+        }
     }
 
     /// `percent_decode` must never panic, and everything

@@ -1,24 +1,24 @@
 //! The serving stack end to end: engine + result cache + live
-//! dictionary deltas + round trips over both transports.
+//! dictionary deltas + an HTTP/1.1 round trip.
 //!
 //! Builds a fuzzy-enabled dictionary, puts it behind
 //! `websyn_serve::Engine` (the sharded LRU result cache), replays a
 //! small Zipf-ish stream of repeating queries to show the cache
 //! absorbing the fuzzy path, applies a live dictionary delta, and
-//! finally starts the real TCP server twice — once speaking the line
-//! protocol, once speaking HTTP/1.1 — for pipelined round trips over
-//! both wire formats against the same engine.
+//! finally starts the real TCP server for pipelined keep-alive round
+//! trips — queries, `/stats` and a delta over `POST /admin/dict/delta`
+//! — against the same engine.
 //!
 //! Run: `cargo run --example serving --release`
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use websyn::common::EntityId;
 use websyn::core::FuzzyConfig;
 use websyn::prelude::*;
 use websyn::serve::http::{percent_encode, read_response};
-use websyn::serve::{HttpProtocol, ServeConfig};
+use websyn::serve::ServeConfig;
 
 fn main() {
     // --- a fuzzy-enabled dictionary ---------------------------------
@@ -89,39 +89,14 @@ fn main() {
         engine.cache_stats().entries,
     );
 
-    // --- the TCP front end: line protocol ----------------------------
-    println!("== live TCP round trip (line protocol, pipelined) ==");
+    // --- the TCP front end over HTTP/1.1 ----------------------------
+    // The server answers result-cache hits on the connection thread
+    // and resolves misses on its worker pool; every cache entry carries
+    // its rendered response, so a repeated query is a pure
+    // lookup-and-write.
+    println!("== live HTTP/1.1 round trip (keep-alive, pipelined) ==");
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default())
         .expect("bind ephemeral port");
-    let conn = TcpStream::connect(server.addr()).expect("connect");
-    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
-    let mut conn = conn;
-    let requests = ["indy 4 tickets", "madagasacr 2", "#stats"];
-    for request in requests {
-        writeln!(conn, "{request}").expect("send");
-    }
-    for request in requests {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("recv");
-        println!("  {request:<22} -> {}", line.trim_end());
-    }
-    drop(conn);
-    drop(reader);
-    server.shutdown();
-
-    // --- the same engine over HTTP/1.1 -------------------------------
-    // The transport is pluggable: Server::start_with swaps the wire
-    // format while the cache, batch aggregator and worker pool stay
-    // identical. Cached entries carry both renderings, so a hit on one
-    // transport is a hit on the other.
-    println!("\n== live HTTP/1.1 round trip (keep-alive, pipelined) ==");
-    let server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServeConfig::builder().build(),
-        Arc::new(HttpProtocol),
-    )
-    .expect("bind ephemeral port");
     let conn = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
     let mut conn = conn;
@@ -141,8 +116,18 @@ fn main() {
     }
     let (status, body) = read_response(&mut reader).expect("recv");
     println!("  GET /stats{:<21} -> {status} {body}", "");
+    // A delta over the wire: live before the 200 is written.
+    let delta = "madagascar escape 2 africa\t1\n";
+    write!(
+        conn,
+        "POST /admin/dict/delta HTTP/1.1\r\nContent-Length: {}\r\n\r\n{delta}",
+        delta.len()
+    )
+    .expect("send");
+    let (status, body) = read_response(&mut reader).expect("recv");
+    println!("  POST /admin/dict/delta{:<9} -> {status} {body}", "");
     drop(conn);
     drop(reader);
     server.shutdown();
-    println!("both servers shut down cleanly.");
+    println!("server shut down cleanly.");
 }

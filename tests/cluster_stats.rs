@@ -10,9 +10,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use websyn::serve::cluster::load_dict;
 use websyn::serve::http::{percent_encode, read_response};
-use websyn::serve::{
-    Engine, HttpProtocol, Ring, Router, RouterConfig, Server, ServerConfig, ServerHandle,
-};
+use websyn::serve::{Engine, Ring, Router, RouterConfig, Server, ServerConfig, ServerHandle};
 
 /// One `GET` on a fresh connection (Connection: close), returning
 /// (status, body).
@@ -45,13 +43,7 @@ fn worker() -> ServerHandle {
         "serving-path matchers carry a window cache"
     );
     let engine = Arc::new(Engine::builder_with_dict(dict).build());
-    Server::start_with(
-        engine,
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        Arc::new(HttpProtocol),
-    )
-    .expect("worker")
+    Server::start(engine, "127.0.0.1:0", ServerConfig::default()).expect("worker")
 }
 
 #[test]

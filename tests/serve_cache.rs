@@ -109,11 +109,11 @@ proptest! {
         prop_assert_eq!(stats.hits + stats.misses, 2 * queries.len() as u64);
     }
 
-    /// An `Arc<CompiledDict>` swap invalidates the cache: every
-    /// resolution after `swap_matcher` reflects the new dictionary,
-    /// never a stale cached span from the old one.
+    /// A base replacement (`engine.dict().replace_base(..)`, the
+    /// rebuild-and-swap deployment step) invalidates the cache: every
+    /// resolution after the swap reflects the new dictionary, never a
+    /// stale cached span from the old one.
     #[test]
-    #[allow(deprecated)] // swap_matcher: the legacy swap path must keep working
     fn swap_invalidates_cached_results(
         pairs in collection::vec(("[a-z]{3,9}( [a-z0-9]{2,6}){0,2}", 0u32..6), 2..10),
         segments in collection::vec((0usize..64, 0u64..1_000_000_000), 4..20),
@@ -145,7 +145,7 @@ proptest! {
             prop_assert_eq!(flatten(&spans), flatten(&old.segment(query)), "{}", query);
         }
         prop_assert!(Arc::ptr_eq(&engine.matcher().shared_dict(), &old.shared_dict()));
-        engine.swap_matcher(Arc::clone(&new));
+        engine.dict().replace_base((*new).clone());
         prop_assert!(Arc::ptr_eq(&engine.matcher().shared_dict(), &new.shared_dict()));
         // Every cached answer must now come from the new dictionary.
         for query in &queries {
