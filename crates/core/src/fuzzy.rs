@@ -293,10 +293,10 @@ pub struct FuzzyDictionary {
     /// Chain index of the (first) source supporting per-position
     /// prefix generation — the one a [`PrefixContext`] feeds.
     prefix_source: Option<usize>,
-    /// Unique id of this compiled chain (see
-    /// [`crate::window_cache::WindowCache::bind`]): two dictionaries
-    /// never share one unless they are clones of the same compilation,
-    /// whose resolutions coincide by construction.
+    /// Unique id of this compiled chain, the first half of every
+    /// window-cache stamp (see [`crate::window_cache::WindowCache`]):
+    /// two dictionaries never share one unless they are clones of the
+    /// same compilation, whose resolutions coincide by construction.
     uid: u64,
 }
 
@@ -462,12 +462,14 @@ impl FuzzyDictionary {
         self.unanchored_masks = Self::compute_unanchored_masks(&self.sources);
         self.prefix_source = self.sources.iter().position(|e| e.prefix_capable);
         // The chain changed, so resolutions may change: take a fresh
-        // uid so any bound window cache self-invalidates.
+        // uid so no window-cache entry stamped with the old one is
+        // served for the new chain.
         self.uid = crate::window_cache::next_uid();
     }
 
-    /// The unique id a [`crate::window_cache::WindowCache`] binds to:
-    /// fresh per compiled chain, refreshed when the chain mutates.
+    /// The unique id [`crate::window_cache::WindowCache`] entries are
+    /// stamped with: fresh per compiled chain, refreshed when the chain
+    /// mutates.
     pub(crate) fn uid(&self) -> u64 {
         self.uid
     }

@@ -66,7 +66,8 @@ pub use miner::{
     EntityCandidates, EntitySynonyms, MinedSynonym, MiningResult, ScoredCandidates, SynonymMiner,
 };
 pub use segment::{
-    DeltaFootprint, DeltaSegment, DictDelta, DictHandle, DictStats, DictSync, SegmentedDict,
+    DeltaFootprint, DeltaSegment, DictDelta, DictHandle, DictStats, DictView, FootprintLog,
+    SegmentedDict,
 };
 pub use select::select;
 pub use surrogate::{SurrogateSource, SurrogateTable};

@@ -309,9 +309,9 @@ impl EntityMatcher {
     }
 
     /// Attaches an existing [`WindowCache`] — how a rebuild-and-swap
-    /// deployment carries one cache across matcher generations (the
-    /// cache re-binds to the new fuzzy dictionary on first use, making
-    /// stale windows invisible; see `WindowCache::bind`).
+    /// deployment carries one cache across matchers (entries are
+    /// stamped with the fuzzy dictionary that resolved them, so another
+    /// dictionary's windows are invisible).
     pub fn with_shared_window_cache(mut self, cache: Arc<WindowCache>) -> Self {
         self.window_cache = Some(cache);
         self
@@ -508,20 +508,13 @@ impl EntityMatcher {
 
     /// Loads a dictionary produced by [`EntityMatcher::to_tsv`],
     /// recompiling the fuzzy side if the artifact carries a `#!fuzzy`
-    /// header.
-    ///
-    /// Deprecated in favor of `DictHandle::from_tsv`: the lifecycle
-    /// handle is the single entry point for loading, live-updating
-    /// (`apply_delta`/`commit`), and compacting a serving dictionary,
-    /// and a bare matcher loaded here cannot take deltas.
+    /// header. To serve it with live deltas and compaction, wrap it:
+    /// `DictHandle::new(EntityMatcher::from_tsv(tsv)?)`.
     ///
     /// # Errors
     /// Returns a codec error on malformed rows (missing tab,
     /// non-numeric id, embedded tab in surface) or a malformed fuzzy
     /// header.
-    #[deprecated(
-        note = "use DictHandle::from_tsv — the dictionary-lifecycle API (loads, live deltas, compaction)"
-    )]
     pub fn from_tsv(tsv: &str) -> websyn_common::Result<Self> {
         let mut pairs = Vec::new();
         let mut fuzzy: Option<FuzzyConfig> = None;
@@ -691,13 +684,9 @@ impl EntityMatcher {
                     PREFIX_HITS.with_borrow_mut(|prefix_hits| {
                         token_char_bounds(normalized, bounds, char_bounds);
                         let prune = fuzzy.all_verifying();
-                        // Bind the cross-batch window cache to this fuzzy
-                        // dictionary once per query; the returned
-                        // generation scopes every probe below.
-                        let wc = self
-                            .window_cache
-                            .as_deref()
-                            .map(|c| (c, c.bind(fuzzy.uid())));
+                        // Window-cache entries are stamped with this
+                        // fuzzy dictionary, at delta epoch 0.
+                        let stamp = (fuzzy.uid(), 0);
                         while i < n {
                             let longest = self.dict.max_tokens().min(n - i);
                             let exact = self.dict.longest_match(&ids[i..], longest);
@@ -767,8 +756,11 @@ impl EntityMatcher {
                                             break 'resolved cached;
                                         }
                                     }
-                                    if let Some((cache, generation)) = wc {
-                                        if let Some(cached) = cache.get(window_text, generation) {
+                                    if let Some(cache) = self.window_cache.as_deref() {
+                                        // Nothing precedes epoch 0, so
+                                        // there is nothing to promote.
+                                        let probe = cache.get(window_text, stamp, |_, _| false);
+                                        if let Some(cached) = probe {
                                             crate::telemetry::LADDER_CACHE_HITS.incr();
                                             break 'resolved cached;
                                         }
@@ -787,8 +779,8 @@ impl EntityMatcher {
                                     if let Some(scratch) = scratch.as_deref_mut() {
                                         scratch.memo.insert(window_text.to_string(), r);
                                     }
-                                    if let Some((cache, generation)) = wc {
-                                        cache.insert(window_text, generation, r);
+                                    if let Some(cache) = self.window_cache.as_deref() {
+                                        cache.insert(window_text, stamp, r);
                                     }
                                     r
                                 };
@@ -860,8 +852,9 @@ impl EntityMatcher {
     /// (pruning is results-invariant, and the union is conservative
     /// over the merged surface set); fuzzy windows resolve through
     /// [`crate::fuzzy::resolve_merged_window`]; and the shared window
-    /// cache binds to (base uid, overlay epoch) with stale entries
-    /// *promoted* across commits whose footprints provably miss them.
+    /// cache stamps entries with (base uid, overlay epoch) and
+    /// *promotes* older-epoch entries across commits whose footprints
+    /// provably miss them.
     /// Prefix-collected candidate probing is skipped on this path
     /// (plain per-window proposal — same results, somewhat slower;
     /// compaction restores the fast path).
@@ -910,10 +903,7 @@ impl EntityMatcher {
                 CHAR_BOUNDS.with_borrow_mut(|char_bounds| {
                     token_char_bounds(normalized, bounds, char_bounds);
                     let prune = bf.all_verifying();
-                    let wc = self.window_cache.as_deref().map(|c| {
-                        let (generation, floor) = c.bind_epoch(bf.uid(), ov.epoch);
-                        (c, generation, floor)
-                    });
+                    let stamp = (bf.uid(), ov.epoch);
                     while i < n {
                         let longest = ov.live_max_tokens.min(n - i);
                         let exact = self.merged_exact(ov, &ids[i..], &oids[i..], longest);
@@ -957,21 +947,17 @@ impl EntityMatcher {
                                         });
                                     }
                                 }
-                                if let Some((cache, generation, floor)) = wc {
-                                    // Stale-but-promotable entries: a
-                                    // verdict cached `k` commits ago is
-                                    // still exact if every footprint
-                                    // since provably misses the window.
-                                    let probe = cache.get_or_promote(
-                                        window_text,
-                                        generation,
-                                        floor,
-                                        |key, entry_epoch| {
+                                if let Some(cache) = self.window_cache.as_deref() {
+                                    // Older-epoch entries: a verdict
+                                    // cached `k` commits ago is still
+                                    // exact if every footprint since
+                                    // provably misses the window.
+                                    let probe =
+                                        cache.get(window_text, stamp, |key, entry_epoch| {
                                             ov.footprints[entry_epoch as usize..]
                                                 .iter()
                                                 .all(|fp| !fp.affects_window(key))
-                                        },
-                                    );
+                                        });
                                     if let Some(cached) = probe {
                                         crate::telemetry::LADDER_CACHE_HITS.incr();
                                         break 'resolved cached.map(|(sid, d)| (false, sid, d));
@@ -998,7 +984,7 @@ impl EntityMatcher {
                                         }),
                                     );
                                 }
-                                if let Some((cache, generation, _)) = wc {
+                                if let Some(cache) = self.window_cache.as_deref() {
                                     // Only base-owned verdicts (and
                                     // misses) are durable: overlay
                                     // surface ids are re-minted every
@@ -1007,9 +993,9 @@ impl EntityMatcher {
                                     match r {
                                         Some((true, _, _)) => {}
                                         Some((false, sid, d)) => {
-                                            cache.insert(window_text, generation, Some((sid, d)));
+                                            cache.insert(window_text, stamp, Some((sid, d)));
                                         }
-                                        None => cache.insert(window_text, generation, None),
+                                        None => cache.insert(window_text, stamp, None),
                                     }
                                 }
                                 r
@@ -1191,10 +1177,6 @@ fn parse_fuzzy_header(header: &str, lineno: usize) -> websyn_common::Result<Fuzz
 }
 
 #[cfg(test)]
-// The TSV-roundtrip tests pin the deprecated `from_tsv` shim on
-// purpose: it must keep working until call sites finish migrating to
-// `DictHandle::from_tsv`.
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -1230,8 +1212,8 @@ mod tests {
         assert!(after_second.hits > after_first.hits, "{after_second:?}");
         assert_eq!(first, second);
         assert_eq!(first[0].surface(), "canon eos 350d");
-        // A clone shares the cache (and the fuzzy dictionary's uid, so
-        // no generation bump): its probes hit too.
+        // A clone shares the cache and the fuzzy dictionary's uid, so
+        // its probes hit too.
         let clone = m.clone();
         clone.segment("canon eso 350d price");
         let after_clone = clone.window_cache().unwrap().stats();

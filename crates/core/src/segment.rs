@@ -23,14 +23,20 @@
 //!   "could this window/query resolve differently now?" test — so the
 //!   shared window cache and a serving result cache invalidate only
 //!   entries a delta could actually touch, promoting everything else
-//!   across the commit instead of re-verifying the world.
+//!   across the commit instead of re-verifying the world. The last 64
+//!   footprints of a lineage form its [`FootprintLog`].
 //!
-//! [`DictHandle`] is the single way in: epoch-pinned snapshot reads
-//! ([`DictHandle::matcher`]), staged deltas ([`DictHandle::apply_delta`]
-//! followed by [`DictHandle::commit`], or [`DictHandle::apply`] for
-//! both at once), and explicit or automatic compaction. The old
-//! `EntityMatcher::from_tsv` + swap flow survives as deprecated shims
-//! over this API.
+//! [`DictHandle`] is the single way in. It publishes one immutable
+//! [`DictView`] at a time — lineage, revision, serving matcher and
+//! [`FootprintLog`] — so a reader pins all four with one `Arc` clone
+//! ([`DictHandle::view`]) and never waits for a commit's overlay
+//! compile. Writers stage deltas ([`DictHandle::apply_delta`] followed
+//! by [`DictHandle::commit`], or [`DictHandle::apply`] for both at
+//! once), compact explicitly or automatically, or install an unrelated
+//! base ([`DictHandle::replace_base`]). Caches downstream keep no
+//! counters of their own: a result is stamped with the view position
+//! that computed it, and an older stamp is promoted only when every
+//! footprint committed since clears the key.
 //!
 //! Resolution over base + deltas is **byte-identical** to a monolithic
 //! recompile of the merged surface set (pinned by the
@@ -43,9 +49,8 @@ use crate::dict::UNKNOWN_TOKEN;
 use crate::fuzzy::FuzzyConfig;
 use crate::matcher::EntityMatcher;
 use crate::window_cache::WindowCache;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use websyn_common::{EntityId, FxHashMap};
 use websyn_text::normalize;
 
@@ -324,12 +329,15 @@ pub(crate) struct OverlayState {
     /// overlay) — the merged window bound. Using the base's own bound
     /// would probe window lengths a monolithic recompile never would.
     pub(crate) live_max_tokens: usize,
-    /// Commits since the current base (the window-cache generation
-    /// ladder rung).
+    /// Commits since the current base: with the base's fuzzy uid, the
+    /// stamp of every window-cache entry this overlay writes.
     pub(crate) epoch: u64,
     /// Footprints of the chain's segments, oldest first
-    /// (`footprints.len() == epoch`): a window-cache entry written at
-    /// epoch `e` is promotable iff `footprints[e..]` all clear it.
+    /// (`footprints.len() == epoch`): a window-cache entry stamped at
+    /// epoch `e` of the same base is promotable iff `footprints[e..]`
+    /// all clear it. Window verdicts carry base surface ids, which a
+    /// compaction renumbers, so this chain is per base and the
+    /// lineage-wide [`FootprintLog`] cannot stand in for it.
     pub(crate) footprints: Arc<Vec<Arc<DeltaFootprint>>>,
 }
 
@@ -414,6 +422,119 @@ impl OverlayState {
     }
 }
 
+/// Where a dictionary stands and how it got there: its lineage, its
+/// revision, and the footprints of the last commits of that lineage.
+///
+/// A result cache stamps each entry with the `(lineage, revision)` that
+/// computed it and asks [`FootprintLog::unchanged_since`] whether an
+/// older entry may be promoted. The log holds no matcher, so a cache
+/// probe that reads it can never be the last owner of a serving
+/// snapshot — and so never the thread left to free a base that a
+/// compaction retired.
+#[derive(Debug)]
+pub struct FootprintLog {
+    /// Dictionary identity: changes only when an unrelated base is
+    /// installed. Minted from a process-wide counter, so a later
+    /// lineage compares greater.
+    lineage: u64,
+    /// Commits since the lineage began (monotone across compaction,
+    /// which changes the representation, not the resolution).
+    revision: u64,
+    /// Footprints of the last (at most [`FOOTPRINT_LOG_CAP`]) commits,
+    /// oldest first; the last one committed `revision`.
+    footprints: Vec<Arc<DeltaFootprint>>,
+}
+
+impl FootprintLog {
+    /// The empty log of a new lineage.
+    fn new() -> Self {
+        Self {
+            lineage: crate::window_cache::next_uid(),
+            revision: 0,
+            footprints: Vec::new(),
+        }
+    }
+
+    /// The log after one more commit, whose footprint is `footprint`.
+    /// Past the cap the oldest footprint falls off.
+    fn commit(&self, footprint: Arc<DeltaFootprint>) -> Self {
+        let keep = self.footprints.len().min(FOOTPRINT_LOG_CAP - 1);
+        let mut footprints = self.footprints[self.footprints.len() - keep..].to_vec();
+        footprints.push(footprint);
+        Self {
+            lineage: self.lineage,
+            revision: self.revision + 1,
+            footprints,
+        }
+    }
+
+    /// Dictionary identity (changes only on a base replacement).
+    pub fn lineage(&self) -> u64 {
+        self.lineage
+    }
+
+    /// Commits since the lineage began.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
+    /// Whether the normalized query `query` resolves at this log's
+    /// revision exactly as it did at `revision` of the same lineage:
+    /// every commit since provably leaves it unchanged (see
+    /// [`DeltaFootprint::affects_query`]). `false` — unprovable — when
+    /// `revision` predates the log's reach or is newer than the log.
+    pub fn unchanged_since(&self, revision: u64, query: &str) -> bool {
+        let since = self
+            .revision
+            .checked_sub(revision)
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| self.footprints.len().checked_sub(n));
+        since.is_some_and(|start| {
+            self.footprints[start..]
+                .iter()
+                .all(|fp| !fp.affects_query(query))
+        })
+    }
+}
+
+/// One published state of a dictionary: its footprint log, the matcher
+/// that serves the log's revision, and its lifecycle counters.
+/// Immutable — a commit, compaction or base replacement publishes a new
+/// view and never mutates one a reader holds.
+#[derive(Debug)]
+pub struct DictView {
+    log: Arc<FootprintLog>,
+    matcher: Arc<EntityMatcher>,
+    stats: DictStats,
+}
+
+impl DictView {
+    /// Dictionary identity (changes only on a base replacement).
+    pub fn lineage(&self) -> u64 {
+        self.log.lineage
+    }
+
+    /// Commits since the lineage began.
+    pub fn revision(&self) -> u64 {
+        self.log.revision
+    }
+
+    /// The serving snapshot at this revision.
+    pub fn matcher(&self) -> &Arc<EntityMatcher> {
+        &self.matcher
+    }
+
+    /// The footprint log this view serves at.
+    pub fn log(&self) -> &Arc<FootprintLog> {
+        &self.log
+    }
+
+    /// Lifecycle counters at publication.
+    pub fn stats(&self) -> DictStats {
+        self.stats
+    }
+}
+
 /// Point-in-time dictionary lifecycle counters, reported by `/stats`
 /// and `/metrics` on the serving side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -455,52 +576,49 @@ pub struct SegmentedDict {
     overlay_map: FxHashMap<String, Option<EntityId>>,
     /// Staged deltas awaiting [`SegmentedDict::commit`].
     pending: Vec<DictDelta>,
-    /// The serving snapshot: `base` (with overlay attached while the
-    /// chain is non-empty). Readers clone the `Arc` and are pinned to
-    /// this epoch for the whole read.
-    merged: Arc<EntityMatcher>,
+    /// The published state: `base` (with overlay attached while the
+    /// chain is non-empty) at the log's revision. Readers clone the
+    /// `Arc` and are pinned to it for the whole read.
+    view: Arc<DictView>,
     /// Commits since the current base.
     epoch: u64,
-    /// Commits since the current lineage (NOT reset by compaction —
-    /// compaction preserves resolution semantics, so result caches
-    /// keyed to a revision survive it).
-    revision: u64,
-    /// Identity of the lineage: changes only when
-    /// [`SegmentedDict::replace_base`] installs unrelated content.
-    lineage: u64,
     /// Completed compactions.
     compactions: u64,
-    /// Footprints of the last commits of this lineage, oldest first;
-    /// `log_start_rev` is the revision the first entry committed.
-    /// Survives compaction (unlike the per-overlay chain) so
-    /// result-cache entries can be promoted across it.
-    footprint_log: VecDeque<Arc<DeltaFootprint>>,
-    log_start_rev: u64,
 }
 
 impl SegmentedDict {
     /// Wraps a freshly compiled matcher as the base of a new lineage.
     pub fn new(base: EntityMatcher) -> Self {
+        let view = DictView {
+            log: Arc::new(FootprintLog::new()),
+            matcher: Arc::new(base.clone()),
+            stats: DictStats {
+                surfaces: base.dict().len(),
+                ..DictStats::default()
+            },
+        };
         Self {
-            merged: Arc::new(base.clone()),
             base,
             segments: Vec::new(),
             overlay_map: FxHashMap::default(),
             pending: Vec::new(),
+            view: Arc::new(view),
             epoch: 0,
-            revision: 0,
-            lineage: crate::window_cache::next_uid(),
             compactions: 0,
-            footprint_log: VecDeque::new(),
-            log_start_rev: 0,
         }
     }
 
-    /// The current serving snapshot. The clone is epoch-pinned: a
-    /// commit or compaction replaces the shared slot but never mutates
-    /// a snapshot a reader already holds.
+    /// The published state: serving snapshot, footprint log and
+    /// counters, captured together.
+    pub fn view(&self) -> Arc<DictView> {
+        Arc::clone(&self.view)
+    }
+
+    /// The current serving snapshot. The clone is pinned: a commit or
+    /// compaction publishes a new view but never mutates a snapshot a
+    /// reader already holds.
     pub fn matcher(&self) -> Arc<EntityMatcher> {
-        Arc::clone(&self.merged)
+        Arc::clone(&self.view.matcher)
     }
 
     /// Stages a delta; it takes effect at the next
@@ -508,12 +626,13 @@ impl SegmentedDict {
     pub fn stage(&mut self, delta: DictDelta) {
         if !delta.is_empty() {
             self.pending.push(delta);
+            self.publish(Arc::clone(&self.view.log), Arc::clone(&self.view.matcher));
         }
     }
 
     /// Seals every staged delta into one new segment, rebuilds the
-    /// (small) overlay compile, and publishes a new serving snapshot.
-    /// Returns the new epoch; a commit with nothing staged is a no-op.
+    /// (small) overlay compile, and publishes a new view. Returns the
+    /// new epoch; a commit with nothing staged is a no-op.
     pub fn commit(&mut self) -> u64 {
         if self.pending.is_empty() {
             return self.epoch;
@@ -538,28 +657,40 @@ impl SegmentedDict {
             tombstones,
             footprint: Arc::clone(&footprint),
         });
-        self.footprint_log.push_back(footprint);
-        while self.footprint_log.len() > FOOTPRINT_LOG_CAP {
-            self.footprint_log.pop_front();
-            self.log_start_rev += 1;
-        }
         self.epoch += 1;
-        self.revision += 1;
-        self.republish();
+        let chain = self.segments.iter().map(|s| Arc::clone(&s.footprint));
+        let overlay = OverlayState::build(
+            &self.base,
+            &self.overlay_map,
+            self.epoch,
+            Arc::new(chain.collect()),
+        );
+        let matcher = Arc::new(self.base.clone().with_overlay(Arc::new(overlay)));
+        self.publish(Arc::new(self.view.log.commit(footprint)), matcher);
         self.epoch
     }
 
-    /// Rebuilds the serving snapshot from `base` + the collapsed
-    /// chain.
-    fn republish(&mut self) {
-        let footprints = Arc::new(
-            self.segments
-                .iter()
-                .map(|s| Arc::clone(&s.footprint))
-                .collect::<Vec<_>>(),
-        );
-        let overlay = OverlayState::build(&self.base, &self.overlay_map, self.epoch, footprints);
-        self.merged = Arc::new(self.base.clone().with_overlay(Arc::new(overlay)));
+    /// Replaces the view with `matcher` serving at `log`, counters
+    /// recomputed.
+    fn publish(&mut self, log: Arc<FootprintLog>, matcher: Arc<EntityMatcher>) {
+        let base_len = self.base.dict().len();
+        let stats = DictStats {
+            surfaces: matcher
+                .overlay()
+                .map_or(base_len, |ov| ov.live_len(base_len)),
+            segments: self.segments.len(),
+            delta_upserts: self.overlay_map.values().filter(|e| e.is_some()).count(),
+            delta_tombstones: self.overlay_map.values().filter(|e| e.is_none()).count(),
+            pending: self.pending.iter().map(DictDelta::len).sum(),
+            epoch: self.epoch,
+            revision: log.revision,
+            compactions: self.compactions,
+        };
+        self.view = Arc::new(DictView {
+            log,
+            matcher,
+            stats,
+        });
     }
 
     /// Compacts base + chain into a fresh base (the full recompile,
@@ -605,47 +736,29 @@ impl SegmentedDict {
     }
 
     /// Installs an already-compiled merged base and its serving
-    /// snapshot, clearing the chain. The lineage and revision are
-    /// preserved: compaction changes the representation, not the
-    /// resolution. Returns the retired base and snapshot, so a caller
-    /// holding a lock can drop them after releasing it.
+    /// snapshot, clearing the chain. The footprint log — lineage,
+    /// revision and all — carries over: compaction changes the
+    /// representation, not the resolution. Returns the retired base,
+    /// so a caller holding a lock can drop it after releasing it.
     fn install_compacted(
         &mut self,
         base: EntityMatcher,
         merged: Arc<EntityMatcher>,
-    ) -> (EntityMatcher, Arc<EntityMatcher>) {
-        let retired = (
-            std::mem::replace(&mut self.base, base),
-            std::mem::replace(&mut self.merged, merged),
-        );
+    ) -> EntityMatcher {
+        let retired = std::mem::replace(&mut self.base, base);
         self.segments.clear();
         self.overlay_map.clear();
         self.epoch = 0;
         self.compactions += 1;
+        self.publish(Arc::clone(&self.view.log), merged);
         retired
     }
 
     /// Replaces the base with unrelated content (a newly mined
-    /// artifact): a new lineage begins, the chain and staged deltas
-    /// are dropped, and every cache keyed to the old lineage must be
-    /// invalidated wholesale.
+    /// artifact): a new lineage begins, and the chain and staged deltas
+    /// are dropped.
     pub fn replace_base(&mut self, base: EntityMatcher) {
         *self = Self::new(base);
-    }
-
-    /// Commits since the current base (the window-cache ladder rung).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Commits since the current lineage (monotone across compaction).
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// Lineage identity (changes only on [`SegmentedDict::replace_base`]).
-    pub fn lineage(&self) -> u64 {
-        self.lineage
     }
 
     /// The committed chain, oldest first.
@@ -653,33 +766,9 @@ impl SegmentedDict {
         &self.segments
     }
 
-    /// Footprints of commits `>= revision` of this lineage, oldest
-    /// first — `None` when `revision` predates the retained log (the
-    /// caller must treat the entry as unpromotable). An up-to-date
-    /// revision yields `Some(empty)`.
-    pub fn footprints_since(&self, revision: u64) -> Option<Vec<Arc<DeltaFootprint>>> {
-        if revision < self.log_start_rev || revision > self.revision {
-            return None;
-        }
-        let skip = (revision - self.log_start_rev) as usize;
-        Some(self.footprint_log.iter().skip(skip).cloned().collect())
-    }
-
     /// Lifecycle counters for stats/metrics surfaces.
     pub fn stats(&self) -> DictStats {
-        let live = self.merged.overlay().map_or(self.base.dict().len(), |ov| {
-            ov.live_len(self.base.dict().len())
-        });
-        DictStats {
-            surfaces: live,
-            segments: self.segments.len(),
-            delta_upserts: self.overlay_map.values().filter(|e| e.is_some()).count(),
-            delta_tombstones: self.overlay_map.values().filter(|e| e.is_none()).count(),
-            pending: self.pending.iter().map(DictDelta::len).sum(),
-            epoch: self.epoch,
-            revision: self.revision,
-            compactions: self.compactions,
-        }
+        self.view.stats
     }
 }
 
@@ -709,7 +798,12 @@ impl CompactionInput {
 
 #[derive(Debug)]
 struct HandleInner {
-    dict: RwLock<SegmentedDict>,
+    /// The lifecycle state. Writers serialize on this lock and build
+    /// the next view under it.
+    writer: Mutex<SegmentedDict>,
+    /// The published view. Readers clone out of it; a writer takes it
+    /// only to swap in the view it built.
+    published: RwLock<Arc<DictView>>,
     /// Segment-count threshold that triggers a background compaction
     /// (0 disables).
     auto_compact: AtomicUsize,
@@ -721,14 +815,18 @@ struct HandleInner {
 /// point for loading, reading, live-updating, and compacting a
 /// serving dictionary.
 ///
-/// Reads are epoch-pinned: [`DictHandle::matcher`] clones the current
-/// snapshot `Arc`, and no later commit or compaction ever mutates it.
-/// Writers stage deltas with [`DictHandle::apply_delta`] and publish
-/// them with [`DictHandle::commit`] (or both at once with
-/// [`DictHandle::apply`]); a commit recompiles only the small overlay,
-/// never the base. When the chain grows past the auto-compaction
-/// threshold, a background thread folds it into a fresh base —
-/// abandoning itself if a newer commit lands first.
+/// The handle publishes one immutable [`DictView`] at a time. Readers
+/// clone what they need out of it ([`DictHandle::view`],
+/// [`DictHandle::matcher`], [`DictHandle::log`]) and never wait for a
+/// writer's work: writers serialize among themselves, build the next
+/// view — a commit's overlay compile, a compaction's install — while
+/// readers keep the old one, and then swap it in. Writers stage deltas
+/// with [`DictHandle::apply_delta`] and publish them with
+/// [`DictHandle::commit`] (or both at once with [`DictHandle::apply`]);
+/// a commit recompiles only the small overlay, never the base. When
+/// the chain grows past the auto-compaction threshold, a background
+/// thread folds it into a fresh base — abandoning itself if a newer
+/// commit lands first.
 ///
 /// # Examples
 ///
@@ -739,15 +837,16 @@ struct HandleInner {
 /// let handle = DictHandle::new(EntityMatcher::from_pairs(vec![
 ///     ("indy 4", EntityId::new(7)),
 /// ]));
-/// let before = handle.matcher(); // epoch-pinned snapshot
+/// let before = handle.matcher(); // pinned snapshot
 ///
 /// let mut delta = DictDelta::new();
 /// delta.upsert("madagascar 2", EntityId::new(9));
 /// handle.apply(delta);
 ///
-/// let after = handle.matcher();
-/// assert_eq!(after.lookup("madagascar 2"), Some(EntityId::new(9)));
-/// assert_eq!(after.lookup("indy 4"), Some(EntityId::new(7)));
+/// let after = handle.view();
+/// assert_eq!(after.revision(), 1);
+/// assert_eq!(after.matcher().lookup("madagascar 2"), Some(EntityId::new(9)));
+/// assert_eq!(after.matcher().lookup("indy 4"), Some(EntityId::new(7)));
 /// // The pinned snapshot never saw the delta.
 /// assert_eq!(before.lookup("madagascar 2"), None);
 /// ```
@@ -756,51 +855,20 @@ pub struct DictHandle {
     inner: Arc<HandleInner>,
 }
 
-/// One coherent view of a [`DictHandle`]'s serving state, captured
-/// under a single read lock by [`DictHandle::sync`].
-#[derive(Debug, Clone)]
-pub struct DictSync {
-    /// Dictionary identity (changes only on a base replacement).
-    pub lineage: u64,
-    /// Commits since the lineage began.
-    pub revision: u64,
-    /// The serving snapshot at that revision.
-    pub matcher: Arc<EntityMatcher>,
-    /// Footprints covering `(since_revision, revision]`, oldest
-    /// first; `None` when selective invalidation is impossible.
-    pub footprints: Option<Vec<Arc<DeltaFootprint>>>,
-}
-
 impl DictHandle {
     /// Wraps a compiled matcher as the base of a new lineage, with
     /// background auto-compaction at [`DEFAULT_AUTO_COMPACT`]
     /// segments.
     pub fn new(base: EntityMatcher) -> Self {
+        let dict = SegmentedDict::new(base);
         Self {
             inner: Arc::new(HandleInner {
-                dict: RwLock::new(SegmentedDict::new(base)),
+                published: RwLock::new(dict.view()),
+                writer: Mutex::new(dict),
                 auto_compact: AtomicUsize::new(DEFAULT_AUTO_COMPACT),
                 merging: AtomicBool::new(false),
             }),
         }
-    }
-
-    /// Loads a dictionary artifact (the [`EntityMatcher::to_tsv`]
-    /// format, optional `#!fuzzy` header) as a new lineage.
-    ///
-    /// ```
-    /// use websyn_core::DictHandle;
-    ///
-    /// let handle = DictHandle::from_tsv("indy 4\t7\n").unwrap();
-    /// assert_eq!(handle.matcher().len(), 1);
-    /// ```
-    ///
-    /// # Errors
-    /// Returns a codec error on malformed rows or a malformed fuzzy
-    /// header.
-    pub fn from_tsv(tsv: &str) -> websyn_common::Result<Self> {
-        #[allow(deprecated)]
-        Ok(Self::new(EntityMatcher::from_tsv(tsv)?))
     }
 
     /// Sets the segment-count threshold for background compaction
@@ -809,20 +877,37 @@ impl DictHandle {
         self.inner.auto_compact.store(segments, Ordering::Relaxed);
     }
 
-    /// The current epoch-pinned serving snapshot.
+    /// The published view: serving snapshot, footprint log and
+    /// counters, mutually consistent.
+    pub fn view(&self) -> Arc<DictView> {
+        Arc::clone(&self.inner.published())
+    }
+
+    /// The published view's footprint log alone — what a cache probe
+    /// needs. It pins no matcher (see [`FootprintLog`]).
+    pub fn log(&self) -> Arc<FootprintLog> {
+        Arc::clone(&self.inner.published().log)
+    }
+
+    /// The current pinned serving snapshot.
     pub fn matcher(&self) -> Arc<EntityMatcher> {
-        self.read().matcher()
+        Arc::clone(&self.inner.published().matcher)
+    }
+
+    /// Lifecycle counters of the published view.
+    pub fn stats(&self) -> DictStats {
+        self.inner.published().stats
     }
 
     /// Stages a delta without publishing it.
     pub fn apply_delta(&self, delta: DictDelta) {
-        self.write().stage(delta);
+        self.inner.write(|dict| dict.stage(delta));
     }
 
     /// Publishes every staged delta as one new segment; returns the
     /// new epoch. May spawn a background compaction.
     pub fn commit(&self) -> u64 {
-        let epoch = self.write().commit();
+        let epoch = self.inner.write(SegmentedDict::commit);
         self.maybe_spawn_compact();
         epoch
     }
@@ -830,98 +915,32 @@ impl DictHandle {
     /// Stages and publishes a delta in one step; returns the new
     /// epoch.
     pub fn apply(&self, delta: DictDelta) -> u64 {
-        let epoch = {
-            let mut dict = self.write();
+        let epoch = self.inner.write(|dict| {
             dict.stage(delta);
             dict.commit()
-        };
+        });
         self.maybe_spawn_compact();
         epoch
     }
 
-    /// Folds the chain into a fresh base synchronously.
+    /// Folds the chain into a fresh base synchronously. Readers keep
+    /// the old view until the compiled base is installed.
     pub fn compact(&self) {
-        self.write().compact();
+        self.inner.write(SegmentedDict::compact);
     }
 
     /// Installs an unrelated artifact as a new lineage (dropping the
     /// chain and staged deltas).
     pub fn replace_base(&self, base: EntityMatcher) {
-        self.write().replace_base(base);
-    }
-
-    /// Lifecycle counters.
-    pub fn stats(&self) -> DictStats {
-        self.read().stats()
-    }
-
-    /// Commits since the current lineage.
-    pub fn revision(&self) -> u64 {
-        self.read().revision()
-    }
-
-    /// `(lineage, revision)`, read under one lock: where the dictionary
-    /// stands, without cloning the serving snapshot.
-    pub fn position(&self) -> (u64, u64) {
-        let dict = self.read();
-        (dict.lineage(), dict.revision())
-    }
-
-    /// Lineage identity.
-    pub fn lineage(&self) -> u64 {
-        self.read().lineage()
-    }
-
-    /// See [`SegmentedDict::footprints_since`].
-    pub fn footprints_since(&self, revision: u64) -> Option<Vec<Arc<DeltaFootprint>>> {
-        self.read().footprints_since(revision)
-    }
-
-    /// Atomic synchronization snapshot for a downstream result cache:
-    /// one read lock covers the lineage, the revision, the serving
-    /// matcher, and the footprints needed to advance from the
-    /// caller's last-seen `(lineage, since_revision)` — so the four
-    /// are mutually consistent even while writers commit concurrently.
-    ///
-    /// `footprints` is `None` when the caller cannot invalidate
-    /// selectively: the lineage changed (an unrelated base was
-    /// installed), or the footprint log no longer reaches back to
-    /// `since_revision`. It is `Some(vec![])` when nothing changed.
-    pub fn sync(&self, lineage: u64, since_revision: u64) -> DictSync {
-        let dict = self.read();
-        let footprints = if dict.lineage() == lineage {
-            dict.footprints_since(since_revision)
-        } else {
-            None
-        };
-        DictSync {
-            lineage: dict.lineage(),
-            revision: dict.revision(),
-            matcher: dict.matcher(),
-            footprints,
-        }
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, SegmentedDict> {
-        self.inner.dict.read().expect("dict handle poisoned")
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, SegmentedDict> {
-        self.inner.dict.write().expect("dict handle poisoned")
+        self.inner.write(|dict| dict.replace_base(base));
     }
 
     /// Spawns a background compaction when the chain has grown past
     /// the threshold and none is already in flight.
     fn maybe_spawn_compact(&self) {
         let threshold = self.inner.auto_compact.load(Ordering::Relaxed);
-        if threshold == 0 {
+        if threshold == 0 || self.stats().segments < threshold {
             return;
-        }
-        {
-            let dict = self.read();
-            if dict.segments.len() < threshold {
-                return;
-            }
         }
         if self.inner.merging.swap(true, Ordering::AcqRel) {
             return;
@@ -935,29 +954,53 @@ impl DictHandle {
 }
 
 impl HandleInner {
+    fn published(&self) -> std::sync::RwLockReadGuard<'_, Arc<DictView>> {
+        self.published.read().expect("dict handle poisoned")
+    }
+
+    /// Runs one write under the writers' lock, then swaps the view it
+    /// left behind into the readers' slot — the only moment readers
+    /// can wait on a writer. The view it replaced is dropped after both
+    /// locks are released.
+    fn write<R>(&self, op: impl FnOnce(&mut SegmentedDict) -> R) -> R {
+        let mut dict = self.writer.lock().expect("dict handle poisoned");
+        let out = op(&mut dict);
+        let view = dict.view();
+        let retired = std::mem::replace(
+            &mut *self.published.write().expect("dict handle poisoned"),
+            view,
+        );
+        drop(dict);
+        drop(retired);
+        out
+    }
+
     /// One background compaction. The merged surface set is copied
-    /// under the read lock; `compile` runs with no lock held, so reads
-    /// and commits proceed while it works; the result is installed
-    /// under a short write lock unless a commit or base replacement
-    /// raced past the copy (then it is abandoned, and the next commit
-    /// re-triggers). Whatever is retired — the old base and snapshot,
-    /// or an abandoned compile — is dropped after the write lock is
-    /// released.
+    /// under the writers' lock; `compile` runs with no lock held, so
+    /// reads and commits proceed while it works; the result is
+    /// installed unless a commit or base replacement raced past the
+    /// copy (then it is abandoned, and the next commit re-triggers).
+    /// Whatever is retired — the old base, or an abandoned compile — is
+    /// dropped after the locks are released.
     fn compact_unlocked(&self, compile: impl FnOnce(CompactionInput) -> EntityMatcher) {
         let (lineage, revision, input) = {
-            let dict = self.dict.read().expect("dict handle poisoned");
-            (dict.lineage(), dict.revision(), dict.compaction_input())
+            let dict = self.writer.lock().expect("dict handle poisoned");
+            (
+                dict.view.lineage(),
+                dict.view.revision(),
+                dict.compaction_input(),
+            )
         };
         let base = compile(input);
         let merged = Arc::new(base.clone());
-        let mut dict = self.dict.write().expect("dict handle poisoned");
-        let retired =
-            if dict.lineage() == lineage && dict.revision() == revision && dict.epoch() > 0 {
-                Some(dict.install_compacted(base, merged))
+        let retired = self.write(|dict| {
+            if dict.view.lineage() == lineage && dict.view.revision() == revision && dict.epoch > 0
+            {
+                dict.install_compacted(base, merged)
             } else {
-                None
-            };
-        drop(dict);
+                base
+            }
+        });
         drop(retired);
     }
 }
@@ -1044,14 +1087,18 @@ mod tests {
             "indy 4 near san fran",
         ];
         let expect: Vec<_> = queries.iter().map(|q| before.segment(q)).collect();
-        let rev = handle.revision();
+        let rev = handle.view().revision();
         handle.compact();
         let after = handle.matcher();
         let stats = handle.stats();
         assert_eq!(stats.segments, 0);
         assert_eq!(stats.epoch, 0);
         assert_eq!(stats.compactions, 1);
-        assert_eq!(handle.revision(), rev, "compaction keeps the revision");
+        assert_eq!(
+            handle.view().revision(),
+            rev,
+            "compaction keeps the revision"
+        );
         for (q, want) in queries.iter().zip(&expect) {
             let got = after.segment(q);
             assert_eq!(got.len(), want.len(), "{q}");
@@ -1127,7 +1174,7 @@ mod tests {
         commit.join().unwrap();
         let m = handle.matcher();
         assert_eq!(m.lookup("newer movie"), Some(EntityId::new(6)));
-        assert_eq!(handle.sync(handle.lineage(), 0).revision, 2);
+        assert_eq!(handle.view().revision(), 2);
         assert_eq!(handle.stats().segments, 2);
         release_tx.send(()).unwrap();
         compaction.join().unwrap();
@@ -1150,7 +1197,7 @@ mod tests {
     #[test]
     fn replace_base_starts_a_new_lineage() {
         let handle = DictHandle::new(base());
-        let lineage = handle.lineage();
+        let lineage = handle.view().lineage();
         let mut d = DictDelta::new();
         d.upsert("x y z", EntityId::new(3));
         handle.apply(d);
@@ -1158,8 +1205,11 @@ mod tests {
             "fresh artifact",
             EntityId::new(8),
         )]));
-        assert_ne!(handle.lineage(), lineage);
-        assert_eq!(handle.revision(), 0);
+        assert!(
+            handle.view().lineage() > lineage,
+            "later lineages compare greater"
+        );
+        assert_eq!(handle.view().revision(), 0);
         assert_eq!(handle.matcher().lookup("x y z"), None);
         assert_eq!(
             handle.matcher().lookup("fresh artifact"),
@@ -1168,23 +1218,36 @@ mod tests {
     }
 
     #[test]
-    fn footprint_clears_unrelated_queries() {
+    fn footprint_log_clears_unrelated_queries_within_its_reach() {
         let handle = DictHandle::new(base());
+        handle.set_auto_compact(0);
         let mut d = DictDelta::new();
         d.upsert("indiana jones 5", EntityId::new(4));
         handle.apply(d);
-        let fps = handle.footprints_since(0).unwrap();
-        assert_eq!(fps.len(), 1);
-        let fp = &fps[0];
+        let log = handle.log();
+        assert_eq!(log.revision(), 1);
         // Queries touching the changed surface (exactly or fuzzily)
         // are affected.
-        assert!(fp.affects_query("indiana jones 5"));
-        assert!(fp.affects_query("watch indianna jones 5 online"));
-        assert!(fp.affects_query("jones"));
+        assert!(!log.unchanged_since(0, "indiana jones 5"));
+        assert!(!log.unchanged_since(0, "watch indianna jones 5 online"));
+        assert!(!log.unchanged_since(0, "jones"));
         // An unrelated query is provably stable.
-        assert!(!fp.affects_query("weather in paris tonight"));
-        // Stale and future revisions are unpromotable.
-        assert!(handle.footprints_since(2).is_none());
-        assert_eq!(handle.footprints_since(1).unwrap().len(), 0);
+        assert!(log.unchanged_since(0, "weather in paris tonight"));
+        // Nothing committed since revision 1; revision 2 is in the
+        // future and unprovable.
+        assert!(log.unchanged_since(1, "indiana jones 5"));
+        assert!(!log.unchanged_since(2, "weather in paris tonight"));
+        // Past the log's reach nothing is provable, and compaction
+        // keeps the log.
+        for i in 0..FOOTPRINT_LOG_CAP as u32 {
+            let mut d = DictDelta::new();
+            d.upsert(&format!("movie number {i}"), EntityId::new(i));
+            handle.apply(d);
+        }
+        handle.compact();
+        let log = handle.log();
+        assert_eq!(log.revision(), 1 + FOOTPRINT_LOG_CAP as u64);
+        assert!(!log.unchanged_since(0, "weather in paris tonight"));
+        assert!(log.unchanged_since(1, "weather in paris tonight"));
     }
 }

@@ -18,15 +18,18 @@
 //!   fuzzy dictionary, so cached entries can never change an output —
 //!   only skip recomputing it (pinned by the cache-on ≡ cache-off
 //!   property tests);
-//! - entries are **generation-checked** like the serve cache: every
-//!   entry records the generation it was inserted at, and a probe
-//!   under a newer generation treats it as a miss;
-//! - the cache **binds** to the fuzzy dictionary that fills it
-//!   (`WindowCache::bind`): each [`crate::FuzzyDictionary`] carries a
-//!   unique id, and binding a different id bumps the generation — so a
-//!   cache shared across a rebuild-and-swap (or accidentally across
-//!   two matchers) can never serve a stale window, without any caller
-//!   discipline.
+//! - every entry is **stamped** with the dictionary that computed it:
+//!   the base fuzzy dictionary's unique id and the delta epoch on top
+//!   of it (0 for a plain matcher). A probe hits only an entry with
+//!   its own stamp, so a cache shared across a rebuild-and-swap never
+//!   serves a window another compiled dictionary resolved, and the
+//!   cache keeps no counter of its own;
+//! - an entry from an older epoch of the same base is **promoted** —
+//!   re-stamped and served — when every delta committed since provably
+//!   leaves the window alone (the footprint test of `crate::segment`).
+//!   A fuzzy dictionary's id is never reused once its candidate chain
+//!   changes, so an id's own entries stay valid for as long as that id
+//!   serves, including when it returns after another one.
 //!
 //! Keys are the 64-bit SipHash of the window text, with the full text
 //! stored in the entry and **verified on every hit** — a probe whose
@@ -34,7 +37,7 @@
 //! unlikely) 64-bit collision can only evict, never corrupt an output.
 //! Hashing the slice instead of owning the key means a re-insert of a
 //! known window (the common churn case: same window under a fresh
-//! generation after a dictionary swap) updates its entry **in place
+//! stamp after a dictionary swap) updates its entry **in place
 //! with zero allocation**; only first-sight windows pay one `Box<str>`.
 //! Window text is untrusted serving input, so the one hash uses std's
 //! randomly seeded SipHash, not `FxHashMap` (which
@@ -82,12 +85,16 @@ impl BuildHasher for Passthrough {
     }
 }
 
-/// One cached window: the full text (for hit verification), the
-/// generation it was recorded under, and its resolution.
+/// Which dictionary a window entry was resolved against: the base
+/// fuzzy dictionary's unique id and the delta epoch on top of it.
+pub(crate) type Stamp = (u64, u64);
+
+/// One cached window: the full text (for hit verification), the stamp
+/// of the dictionary that resolved it, and its resolution.
 #[derive(Debug)]
 struct CacheEntry {
     key: Box<str>,
-    generation: u64,
+    stamp: Stamp,
     resolution: Resolution,
 }
 
@@ -106,23 +113,24 @@ struct Shard {
 /// [`WindowCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowCacheStats {
-    /// Probes answered from the cache (current generation).
+    /// Probes answered from the cache (the probe's own stamp, or a
+    /// promotion).
     pub hits: u64,
-    /// Probes that found nothing usable (absent, stale generation, or
-    /// hash-collided with different text).
+    /// Probes that found nothing usable (absent, another dictionary's
+    /// or an unpromotable stamp, or hash-collided with different text).
     pub misses: u64,
     /// Hits served by *promoting* a stale entry across a delta commit
     /// (counted in `hits` too): the entry predated the newest delta
     /// segments but its window was provably unaffected by them.
     pub promotions: u64,
-    /// Live entries across all shards, including stale ones not yet
-    /// evicted.
+    /// Live entries across all shards, including other dictionaries'
+    /// not yet evicted.
     pub entries: usize,
     /// Total capacity across all shards.
     pub capacity: usize,
 }
 
-/// The bounded, sharded, generation-checked window-resolution cache.
+/// The bounded, sharded, stamp-checked window-resolution cache.
 /// Construct via [`WindowCache::new`], attach with
 /// [`crate::EntityMatcher::with_window_cache`] (or share one across
 /// matchers with [`crate::EntityMatcher::with_shared_window_cache`]).
@@ -131,22 +139,10 @@ pub struct WindowCache {
     shards: Box<[Mutex<Shard>]>,
     /// Max entries per shard.
     shard_capacity: usize,
-    /// Bumped whenever a different fuzzy dictionary binds; entries
-    /// from older generations are invisible.
-    generation: AtomicU64,
-    /// Generation at which the currently bound dictionary's *base*
-    /// attached (see [`WindowCache::bind_epoch`]): the live generation
-    /// is `floor + delta epoch`, so entries between `floor` and the
-    /// live generation are stale-but-promotable — they were recorded
-    /// under the same base, only missing the most recent delta
-    /// segments.
-    floor: AtomicU64,
-    /// Unique id of the fuzzy dictionary currently bound (0 = none).
-    bound: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Stale entries revalidated across a delta commit instead of
-    /// recomputed (see [`WindowCache::get_or_promote`]).
+    /// Older-epoch entries revalidated across a delta commit instead of
+    /// recomputed (see [`WindowCache::get`]).
     promotions: AtomicU64,
     /// Shared seed state so every shard hashes keys identically for
     /// shard selection.
@@ -160,62 +156,11 @@ impl WindowCache {
         Self {
             shards,
             shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            generation: AtomicU64::new(0),
-            floor: AtomicU64::new(0),
-            bound: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             hasher: RandomState::new(),
         }
-    }
-
-    /// Binds the cache to fuzzy dictionary `uid`, returning the
-    /// generation under which its windows live. Rebinding to a
-    /// *different* uid bumps the generation, making every prior entry
-    /// invisible — the stale-window safety the swap proptests pin.
-    /// Cheap when already bound (two atomic loads), so the segmenter
-    /// calls it once per query.
-    pub(crate) fn bind(&self, uid: u64) -> u64 {
-        self.bind_epoch(uid, 0).0
-    }
-
-    /// Epoch-aware binding — the segmented-dictionary generation
-    /// ladder. `uid` identifies the *base* compilation and `epoch`
-    /// counts delta commits on top of it; the live generation is
-    /// `floor + epoch`, where `floor` is minted when `uid` first binds
-    /// (or re-binds after another dictionary used the cache). A base
-    /// swap or compaction changes `uid` and resets the floor — the
-    /// wholesale invalidation of old — while a delta commit only
-    /// advances the epoch, leaving every prior entry in the
-    /// promotable band `[floor, generation)` for
-    /// [`WindowCache::get_or_promote`]. Returns `(generation, floor)`.
-    pub(crate) fn bind_epoch(&self, uid: u64, epoch: u64) -> (u64, u64) {
-        let target = |floor: u64| floor + epoch;
-        if self.bound.load(Ordering::Acquire) == uid {
-            let floor = self.floor.load(Ordering::Acquire);
-            if self.generation.load(Ordering::Acquire) >= target(floor) {
-                return (target(floor), floor);
-            }
-        }
-        // Serialize rebinds and epoch advances through a shard lock so
-        // the (bound, floor, generation) triple moves together.
-        let _guard = self.shards[0].lock().expect("window cache poisoned");
-        if self.bound.load(Ordering::Acquire) != uid {
-            let floor = self.generation.load(Ordering::Acquire) + 1;
-            self.floor.store(floor, Ordering::Release);
-            self.generation.store(target(floor), Ordering::Release);
-            self.bound.store(uid, Ordering::Release);
-        } else {
-            let floor = self.floor.load(Ordering::Acquire);
-            if self.generation.load(Ordering::Acquire) < target(floor) {
-                self.generation.store(target(floor), Ordering::Release);
-            }
-        }
-        (
-            target(self.floor.load(Ordering::Acquire)),
-            self.floor.load(Ordering::Acquire),
-        )
     }
 
     /// The (hash, shard index) of `key` — one SipHash pass serves both
@@ -228,56 +173,36 @@ impl WindowCache {
         (h, (h >> 60) as usize % SHARDS)
     }
 
-    /// Looks `key` up under `generation` (from [`WindowCache::bind`]).
-    /// A present entry from an older generation is a miss, as is a
-    /// hash match whose stored text differs from `key`.
-    pub(crate) fn get(&self, key: &str, generation: u64) -> Option<Resolution> {
-        let (h, idx) = self.locate(key);
-        let shard = self.shards[idx].lock().expect("window cache poisoned");
-        match shard.map.get(&h) {
-            Some(e) if e.generation == generation && *e.key == *key => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.resolution)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// [`WindowCache::get`] with the segmented-dictionary promotion
-    /// ladder: an entry recorded under the *same base* but an older
-    /// delta epoch (`floor ≤ entry generation < generation`) is not
-    /// discarded outright — `unaffected_since(window, entry_epoch)`
-    /// decides whether the delta segments committed after the entry's
-    /// epoch could possibly change this window's resolution. When they
-    /// provably cannot (the conservative footprint test of
-    /// `crate::segment`), the entry is re-stamped to the live
-    /// generation in place and served as a hit: a delta commit
-    /// invalidates only the windows it could actually touch, not the
-    /// whole cache.
-    pub(crate) fn get_or_promote(
+    /// Looks `key` up for the dictionary stamped `(uid, epoch)`. An
+    /// entry with exactly that stamp is a hit. An entry from an older
+    /// epoch of the same `uid` is promoted — re-stamped in place and
+    /// served as a hit — when `unaffected_since(window, entry_epoch)`
+    /// proves that the deltas committed since cannot change its
+    /// resolution (the conservative footprint test of
+    /// `crate::segment`); a delta commit thus invalidates only the
+    /// windows it could actually touch. Anything else — another uid, a
+    /// newer epoch, a failed check, or a hash match whose stored text
+    /// differs — is a miss.
+    pub(crate) fn get(
         &self,
         key: &str,
-        generation: u64,
-        floor: u64,
+        (uid, epoch): Stamp,
         unaffected_since: impl FnOnce(&str, u64) -> bool,
     ) -> Option<Resolution> {
         let (h, idx) = self.locate(key);
         let mut shard = self.shards[idx].lock().expect("window cache poisoned");
         match shard.map.get_mut(&h) {
-            Some(e) if *e.key == *key && e.generation == generation => {
+            Some(e) if *e.key == *key && e.stamp == (uid, epoch) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.resolution)
             }
             Some(e)
                 if *e.key == *key
-                    && e.generation >= floor
-                    && e.generation < generation
-                    && unaffected_since(&e.key, e.generation - floor) =>
+                    && e.stamp.0 == uid
+                    && e.stamp.1 < epoch
+                    && unaffected_since(&e.key, e.stamp.1) =>
             {
-                e.generation = generation;
+                e.stamp = (uid, epoch);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 Some(e.resolution)
@@ -289,19 +214,23 @@ impl WindowCache {
         }
     }
 
-    /// Records `key`'s resolution under `generation`, evicting oldest
+    /// Records `key`'s resolution under `stamp`, evicting oldest
     /// entries (FIFO) past the shard budget. Re-recording a window the
-    /// cache already holds (same text, e.g. under a fresh generation)
-    /// updates the entry in place without allocating; a hash collision
-    /// with different text overwrites the colliding entry.
-    pub(crate) fn insert(&self, key: &str, generation: u64, resolution: Resolution) {
+    /// cache already holds (same text, e.g. under a fresh stamp)
+    /// updates the entry in place without allocating — unless the entry
+    /// is from a newer epoch of the same uid, which an older reader
+    /// never overwrites. A hash collision with different text
+    /// overwrites the colliding entry.
+    pub(crate) fn insert(&self, key: &str, stamp: Stamp, resolution: Resolution) {
         let (h, idx) = self.locate(key);
         let mut shard = self.shards[idx].lock().expect("window cache poisoned");
         if let Some(e) = shard.map.get_mut(&h) {
             if *e.key != *key {
                 e.key = key.into();
+            } else if e.stamp.0 == stamp.0 && e.stamp.1 > stamp.1 {
+                return;
             }
-            e.generation = generation;
+            e.stamp = stamp;
             e.resolution = resolution;
             return;
         }
@@ -318,7 +247,7 @@ impl WindowCache {
             h,
             CacheEntry {
                 key: key.into(),
-                generation,
+                stamp,
                 resolution,
             },
         );
@@ -338,19 +267,14 @@ impl WindowCache {
             capacity: self.shard_capacity * SHARDS,
         }
     }
-
-    /// The current generation (diagnostics and tests).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
 }
 
-/// Source of the unique ids fuzzy dictionaries bind with. Zero is
-/// reserved for "nothing bound yet".
+/// Source of the unique ids that stamp fuzzy dictionaries and
+/// dictionary lineages. Monotone, so a later id compares greater.
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
 /// A fresh nonzero uid for a newly compiled (or mutated) fuzzy
-/// dictionary.
+/// dictionary, or a new dictionary lineage.
 pub(crate) fn next_uid() -> u64 {
     NEXT_UID.fetch_add(1, Ordering::Relaxed)
 }
@@ -359,15 +283,22 @@ pub(crate) fn next_uid() -> u64 {
 mod tests {
     use super::*;
 
+    /// A promotion check that must never run.
+    fn never(_: &str, _: u64) -> bool {
+        panic!("promotion checked")
+    }
+
     #[test]
-    fn hit_after_insert_same_generation() {
+    fn hit_after_insert_same_stamp() {
         let c = WindowCache::new(64);
-        let g = c.bind(1);
-        assert_eq!(c.get("canon eos", g), None);
-        c.insert("canon eos", g, Some((SurfaceId::new(3), 1)));
-        assert_eq!(c.get("canon eos", g), Some(Some((SurfaceId::new(3), 1))));
-        c.insert("junk window", g, None);
-        assert_eq!(c.get("junk window", g), Some(None));
+        assert_eq!(c.get("canon eos", (1, 0), never), None);
+        c.insert("canon eos", (1, 0), Some((SurfaceId::new(3), 1)));
+        assert_eq!(
+            c.get("canon eos", (1, 0), never),
+            Some(Some((SurfaceId::new(3), 1)))
+        );
+        c.insert("junk window", (1, 0), None);
+        assert_eq!(c.get("junk window", (1, 0), never), Some(None));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 1, 2));
     }
@@ -375,43 +306,65 @@ mod tests {
     #[test]
     fn rebinding_a_different_dictionary_hides_old_entries() {
         let c = WindowCache::new(64);
-        let g1 = c.bind(1);
-        c.insert("window", g1, Some((SurfaceId::new(9), 2)));
-        assert!(c.get("window", g1).is_some());
-        let g2 = c.bind(2);
-        assert_ne!(g1, g2);
-        assert_eq!(c.get("window", g2), None, "stale entry must be invisible");
-        // Rebinding the same uid keeps the generation stable.
-        assert_eq!(c.bind(2), g2);
-        // And binding back to uid 1 bumps again — the old entries stay
-        // dead (their recorded generation can never recur).
-        let g3 = c.bind(1);
-        assert!(g3 > g2);
-        assert_eq!(c.get("window", g3), None);
+        c.insert("window", (1, 0), Some((SurfaceId::new(9), 2)));
+        assert!(c.get("window", (1, 0), never).is_some());
+        // Another uid never sees the entry, whatever its epoch, and
+        // never consults the promotion check.
+        assert_eq!(c.get("window", (2, 0), never), None);
+        assert_eq!(c.get("window", (2, 3), never), None);
+        // The uid's own entry is still there when it returns: a uid is
+        // never reused for different content.
+        assert_eq!(
+            c.get("window", (1, 0), never),
+            Some(Some((SurfaceId::new(9), 2)))
+        );
+    }
+
+    #[test]
+    fn older_epochs_promote_only_when_cleared() {
+        let c = WindowCache::new(64);
+        c.insert("kept", (1, 0), None);
+        c.insert("touched", (1, 0), None);
+        // The check sees the entry's epoch; a pass re-stamps it.
+        assert_eq!(
+            c.get("kept", (1, 2), |key, epoch| {
+                assert_eq!((key, epoch), ("kept", 0));
+                true
+            }),
+            Some(None)
+        );
+        assert_eq!(c.get("kept", (1, 2), never), Some(None), "re-stamped");
+        assert_eq!(c.get("touched", (1, 2), |_, _| false), None);
+        // A newer entry is invisible to an older epoch, and an older
+        // writer does not overwrite it.
+        assert_eq!(c.get("kept", (1, 1), never), None);
+        c.insert("kept", (1, 1), Some((SurfaceId::new(4), 0)));
+        assert_eq!(c.get("kept", (1, 2), never), Some(None));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.promotions), (3, 2, 1));
     }
 
     #[test]
     fn reinsert_updates_in_place() {
         let c = WindowCache::new(64);
-        let g1 = c.bind(1);
-        c.insert("canon eos", g1, None);
+        c.insert("canon eos", (1, 0), None);
         assert_eq!(c.stats().entries, 1);
-        // Same window under a fresh generation: the stale entry is
-        // refreshed in place — entry count stays flat and the new
-        // resolution wins.
-        let g2 = c.bind(2);
-        c.insert("canon eos", g2, Some((SurfaceId::new(7), 1)));
+        // Same window under another dictionary: the entry is refreshed
+        // in place — entry count stays flat and the new resolution wins.
+        c.insert("canon eos", (2, 0), Some((SurfaceId::new(7), 1)));
         assert_eq!(c.stats().entries, 1);
-        assert_eq!(c.get("canon eos", g2), Some(Some((SurfaceId::new(7), 1))));
-        assert_eq!(c.get("canon eos", g1), None, "old generation stays dead");
+        assert_eq!(
+            c.get("canon eos", (2, 0), never),
+            Some(Some((SurfaceId::new(7), 1)))
+        );
+        assert_eq!(c.get("canon eos", (1, 0), never), None, "overwritten");
     }
 
     #[test]
     fn eviction_keeps_the_map_bounded() {
         let c = WindowCache::new(SHARDS); // one entry per shard
-        let g = c.bind(1);
         for i in 0..1000 {
-            c.insert(&format!("window {i}"), g, None);
+            c.insert(&format!("window {i}"), (1, 0), None);
         }
         let s = c.stats();
         assert!(s.entries <= s.capacity, "{s:?}");
@@ -423,6 +376,6 @@ mod tests {
         let a = next_uid();
         let b = next_uid();
         assert_ne!(a, 0);
-        assert_ne!(a, b);
+        assert!(b > a);
     }
 }

@@ -26,6 +26,9 @@ use std::time::{Duration, Instant};
 use websyn_serve::cluster::{run_worker_if_flagged, Cluster, ClusterConfig};
 use websyn_serve::http::{percent_encode, read_response};
 
+const USAGE: &str =
+    "usage: websyn-cluster [--addr A] [--workers N] [--replication N] [--dict F.tsv] [--smoke]";
+
 struct Args {
     addr: String,
     workers: usize,
@@ -60,11 +63,8 @@ fn parse_args() -> Result<Args, String> {
             "--dict" => args.dict = Some(value("--dict")?),
             "--smoke" => args.smoke = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: websyn-cluster [--addr A] [--workers N] [--replication N] \
-                     [--dict F.tsv] [--smoke]"
-                        .to_string(),
-                )
+                println!("{USAGE}");
+                std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }

@@ -9,29 +9,27 @@
 //! doubly-linked list on slot indices (no per-entry allocation beyond
 //! the key).
 //!
-//! **Invalidation is by generation.** Every entry is stamped with the
-//! cache generation it was computed at, and [`ShardedCache::get_at`]
-//! only serves entries whose stamp matches the caller's snapshot.
-//! Writers capture the generation together with their dictionary
-//! snapshot and insert through [`ShardedCache::insert_at`], which
-//! rejects the write (under the shard lock) once the generation has
-//! moved on — a worker racing a dictionary change can therefore never
-//! publish a result computed against the retired dictionary.
+//! **Every entry carries the [`Stamp`] of the dictionary that computed
+//! it**, and the cache keeps no counter of its own. A lookup names the
+//! stamp it reads at:
 //!
-//! The generation moves in two ways:
+//! - an entry with exactly that stamp is a hit;
+//! - an entry from an older revision of the same lineage is
+//!   *promoted* — re-stamped and served — when the caller's check
+//!   proves that every dictionary change since cannot have altered
+//!   its value (the `Engine` proves this with the dictionary's
+//!   [`websyn_core::FootprintLog`]). A small delta thus invalidates only
+//!   the keys it touches; everything else is promoted on its next
+//!   lookup instead of recomputed;
+//! - anything else — another lineage, a newer revision, a failed
+//!   check — is a miss.
 //!
-//! - [`ShardedCache::invalidate`] — wholesale: bump the counter
-//!   *before* clearing the shards (a base swap, where nothing old is
-//!   trustworthy);
-//! - [`ShardedCache::advance_generation`] — selective: bump the
-//!   counter and keep the entries. Stale entries stop being served by
-//!   `get_at`, but [`ShardedCache::get_at_or_promote`] can *promote*
-//!   one — re-stamp it to the current generation and serve it — when
-//!   the caller proves the dictionary changes since the entry's stamp
-//!   cannot have altered its value (the `Engine` proves this with
-//!   [`websyn_core::DeltaFootprint`]s). A small delta thus invalidates
-//!   only the keys it touches; everything else is promoted on its next
-//!   lookup instead of recomputed.
+//! An insert never replaces a newer stamp with an older one, so a
+//! worker that resolved against a dictionary a delta has since retired
+//! leaves at most an older entry, which is served again only after the
+//! check clears it. [`ShardedCache::invalidate`] drops every entry; it
+//! frees memory after a base replacement but is never needed for
+//! soundness.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -42,10 +40,16 @@ use std::sync::{Arc, Mutex};
 /// Sentinel slot index for "no entry" in the intrusive LRU list.
 const NIL: u32 = u32::MAX;
 
-/// The promotion check threaded into generation-aware lookups: given
-/// the entry's key and stamped generation, may it be re-stamped to the
-/// current generation and served?
-type PromoteCheck<'a> = &'a mut dyn FnMut(&str, u64) -> bool;
+/// The dictionary position a cached value was computed at. Ordered
+/// lineage first: lineages are minted in increasing order, so a
+/// greater stamp is always the later dictionary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct Stamp {
+    /// Dictionary identity (changes only on a base replacement).
+    pub lineage: u64,
+    /// Commits since the lineage began.
+    pub revision: u64,
+}
 
 /// Aggregated cache counters, summed over all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,8 +66,8 @@ pub struct CacheStats {
     pub capacity: usize,
     /// Completed [`ShardedCache::invalidate`] calls.
     pub invalidations: u64,
-    /// Stale entries re-stamped to the current generation by
-    /// [`ShardedCache::get_at_or_promote`] instead of recomputed.
+    /// Older entries re-stamped by [`ShardedCache::get`] instead of
+    /// recomputed.
     pub promotions: u64,
 }
 
@@ -85,9 +89,9 @@ impl CacheStats {
 struct Entry<V> {
     key: Arc<str>,
     value: V,
-    /// Cache generation the value was computed at; compared (and
-    /// possibly re-stamped) by the generation-aware lookups.
-    generation: u64,
+    /// Dictionary position the value was computed at (or promoted
+    /// to).
+    stamp: Stamp,
     /// Towards more-recently-used.
     prev: u32,
     /// Towards less-recently-used.
@@ -174,51 +178,30 @@ impl<V: Clone> LruShard<V> {
         self.head = i;
     }
 
-    fn get(&mut self, key: &str) -> Option<V> {
-        match self.map.get(key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                self.unlink(i);
-                self.push_front(i);
-                Some(self.entry(i).value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Generation-aware lookup: entries stamped with a different
-    /// generation are not served. An *older* entry can be rescued by
-    /// `promote`: if the callback (given the key and the entry's
-    /// stamp) returns `true`, the entry is re-stamped to `generation`
-    /// and served as a hit. Stale entries that are not promoted stay
-    /// in place (untouched recency) until overwritten or evicted.
-    fn get_at(
+    /// The stamp rule (see the module docs): `promote(key, revision)`
+    /// runs only for an entry from an older revision of `stamp`'s
+    /// lineage. Entries that are not served stay in place (untouched
+    /// recency) until overwritten or evicted.
+    fn get(
         &mut self,
-        generation: u64,
         key: &str,
-        promote: Option<PromoteCheck<'_>>,
+        stamp: Stamp,
+        promote: impl FnOnce(&str, u64) -> bool,
     ) -> Option<V> {
         let Some(&i) = self.map.get(key) else {
             self.misses += 1;
             return None;
         };
-        let stamped = self.entry(i).generation;
-        if stamped != generation {
-            let promoted = match promote {
-                Some(check) if stamped < generation => {
-                    let key = Arc::clone(&self.entry(i).key);
-                    check(&key, stamped)
-                }
-                _ => false,
-            };
+        let entry = self.entry(i);
+        if entry.stamp != stamp {
+            let promoted = entry.stamp.lineage == stamp.lineage
+                && entry.stamp.revision < stamp.revision
+                && promote(&entry.key, entry.stamp.revision);
             if !promoted {
                 self.misses += 1;
                 return None;
             }
-            self.entry_mut(i).generation = generation;
+            self.entry_mut(i).stamp = stamp;
             self.promotions += 1;
         }
         self.hits += 1;
@@ -229,14 +212,17 @@ impl<V: Clone> LruShard<V> {
 
     // Capacity is always >= 1 (ShardedCache::new clamps), so eviction
     // below can assume a live tail once the shard is full.
-    fn insert(&mut self, key: &str, value: V, generation: u64) {
+    fn insert(&mut self, key: &str, stamp: Stamp, value: V) -> bool {
         if let Some(&i) = self.map.get(key) {
             let e = self.entry_mut(i);
+            if e.stamp > stamp {
+                return false;
+            }
             e.value = value;
-            e.generation = generation;
+            e.stamp = stamp;
             self.unlink(i);
             self.push_front(i);
-            return;
+            return true;
         }
         if self.map.len() >= self.capacity {
             // Evict the least-recently-used entry.
@@ -253,7 +239,7 @@ impl<V: Clone> LruShard<V> {
                 self.slots[i as usize] = Some(Entry {
                     key: Arc::clone(&key),
                     value,
-                    generation,
+                    stamp,
                     prev: NIL,
                     next: NIL,
                 });
@@ -264,7 +250,7 @@ impl<V: Clone> LruShard<V> {
                 self.slots.push(Some(Entry {
                     key: Arc::clone(&key),
                     value,
-                    generation,
+                    stamp,
                     prev: NIL,
                     next: NIL,
                 }));
@@ -273,6 +259,7 @@ impl<V: Clone> LruShard<V> {
         };
         self.map.insert(key, slot);
         self.push_front(slot);
+        true
     }
 
     fn clear(&mut self) {
@@ -292,27 +279,24 @@ impl<V: Clone> LruShard<V> {
 /// # Examples
 ///
 /// ```
-/// use websyn_serve::ShardedCache;
+/// use websyn_serve::{ShardedCache, Stamp};
 ///
 /// let cache: ShardedCache<u32> = ShardedCache::new(4, 1024);
-/// let gen = cache.generation();
-/// assert_eq!(cache.get("indy 4"), None);
-/// assert!(cache.insert_at(gen, "indy 4", 7));
-/// assert_eq!(cache.get_at(gen, "indy 4"), Some(7));
+/// let r0 = Stamp { lineage: 1, revision: 0 };
+/// let r1 = Stamp { lineage: 1, revision: 1 };
+/// let no_promotion = |_: &str, _: u64| false;
+/// assert_eq!(cache.get("indy 4", r0, no_promotion), None);
+/// assert!(cache.insert("indy 4", r0, 7));
+/// assert_eq!(cache.get("indy 4", r0, no_promotion), Some(7));
 ///
-/// // Selective: the entry survives the bump, hidden until promoted.
-/// let next = cache.advance_generation();
-/// assert_eq!(cache.get_at(next, "indy 4"), None);
-/// assert_eq!(
-///     cache.get_at_or_promote(next, "indy 4", |_key, _stamp| true),
-///     Some(7),
-/// );
-/// assert_eq!(cache.get_at(next, "indy 4"), Some(7), "re-stamped");
+/// // A newer revision serves the entry only once the check clears it.
+/// assert_eq!(cache.get("indy 4", r1, no_promotion), None);
+/// assert_eq!(cache.get("indy 4", r1, |_key, _revision| true), Some(7));
+/// assert_eq!(cache.get("indy 4", r1, no_promotion), Some(7), "re-stamped");
 ///
-/// // Wholesale: everything is dropped, stale writers rejected.
-/// cache.invalidate();
-/// assert_eq!(cache.get("indy 4"), None);
-/// assert!(!cache.insert_at(next, "indy 4", 7), "stale generation");
+/// // An older writer never overwrites a newer entry.
+/// assert!(!cache.insert("indy 4", r0, 8));
+/// assert_eq!(cache.stats().promotions, 1);
 /// ```
 #[derive(Debug)]
 pub struct ShardedCache<V> {
@@ -320,7 +304,6 @@ pub struct ShardedCache<V> {
     /// Per-process random SipHash seed for shard selection (see
     /// [`LruShard`] on why keys are never Fx-hashed here).
     shard_seed: RandomState,
-    generation: AtomicU64,
     invalidations: AtomicU64,
 }
 
@@ -338,7 +321,6 @@ impl<V: Clone> ShardedCache<V> {
         Self {
             shards: shards.into_boxed_slice(),
             shard_seed: RandomState::new(),
-            generation: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
     }
@@ -357,13 +339,6 @@ impl<V: Clone> ShardedCache<V> {
                 .capacity
     }
 
-    /// The current generation. Capture this together with the
-    /// dictionary snapshot, and pass it back to
-    /// [`ShardedCache::insert_at`].
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
     fn shard_of(&self, key: &str) -> &Mutex<LruShard<V>> {
         // Seeded SipHash for the same reason as the shard maps: shard
         // choice must not be predictable from the key alone, or an
@@ -372,90 +347,40 @@ impl<V: Clone> ShardedCache<V> {
         &self.shards[i]
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<V> {
+    /// Looks `key` up at `stamp`, refreshing its recency on a hit, and
+    /// counts exactly one hit or one miss. An entry stamped `stamp` is
+    /// served; an entry from an older revision of the same lineage is
+    /// served — re-stamped to `stamp` and counted in
+    /// [`CacheStats::promotions`] — only when `promote(key, revision)`
+    /// returns `true`; anything else is a miss. `promote` runs under
+    /// the shard lock and must only approve when every dictionary
+    /// change after `revision` provably leaves this key's value
+    /// unchanged.
+    pub fn get(
+        &self,
+        key: &str,
+        stamp: Stamp,
+        promote: impl FnOnce(&str, u64) -> bool,
+    ) -> Option<V> {
         self.shard_of(key)
             .lock()
             .expect("cache shard poisoned")
-            .get(key)
+            .get(key, stamp, promote)
     }
 
-    /// Looks `key` up, serving only entries stamped exactly at
-    /// `generation` — the read-side counterpart of
-    /// [`ShardedCache::insert_at`]. A stale caller (the global counter
-    /// moved past its snapshot) and a stale entry (stamped before an
-    /// [`ShardedCache::advance_generation`]) both count as misses, so
-    /// hit-rate statistics never credit results from a retired
-    /// dictionary. The comparisons run under the shard lock: a
-    /// matching stamp proves no dictionary change slipped between the
-    /// caller's snapshot and this lookup.
-    pub fn get_at(&self, generation: u64, key: &str) -> Option<V> {
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        if self.generation.load(Ordering::Acquire) != generation {
-            shard.misses += 1;
-            return None;
-        }
-        shard.get_at(generation, key, None)
+    /// Stores `key → value` computed at `stamp`, unless the cache
+    /// already holds `key` at a newer stamp (then the value is
+    /// discarded and `false` returned).
+    pub fn insert(&self, key: &str, stamp: Stamp, value: V) -> bool {
+        self.shard_of(key)
+            .lock()
+            .expect("cache shard poisoned")
+            .insert(key, stamp, value)
     }
 
-    /// Like [`ShardedCache::get_at`], but gives entries stamped at an
-    /// *older* generation a second chance: `promote(key, stamp)` is
-    /// called under the shard lock, and a `true` re-stamps the entry
-    /// to `generation` and serves it as a hit (counted in
-    /// [`CacheStats::promotions`]). The caller's contract is that a
-    /// promotion is only approved when every dictionary change between
-    /// `stamp` and `generation` provably leaves this key's result
-    /// unchanged — the serving engine checks the key against the
-    /// [`websyn_core::DeltaFootprint`] of each intervening delta.
-    pub fn get_at_or_promote(
-        &self,
-        generation: u64,
-        key: &str,
-        mut promote: impl FnMut(&str, u64) -> bool,
-    ) -> Option<V> {
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        if self.generation.load(Ordering::Acquire) != generation {
-            shard.misses += 1;
-            return None;
-        }
-        shard.get_at(generation, key, Some(&mut promote))
-    }
-
-    /// Inserts `key → value` if the cache is still at `generation`.
-    /// Returns whether the value was stored: a `false` means an
-    /// [`ShardedCache::invalidate`] completed since the caller captured
-    /// the generation, and the value (computed against the retired
-    /// dictionary) was discarded. The check runs under the shard lock,
-    /// and invalidation bumps the generation *before* clearing, so a
-    /// stale value can never survive the sweep.
-    pub fn insert_at(&self, generation: u64, key: &str, value: V) -> bool {
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        if self.generation.load(Ordering::Acquire) != generation {
-            return false;
-        }
-        shard.insert(key, value, generation);
-        true
-    }
-
-    /// Retires the current generation *without* dropping entries.
-    /// Returns the new generation. Existing entries keep their old
-    /// stamp: invisible to [`ShardedCache::get_at`], but recoverable
-    /// through [`ShardedCache::get_at_or_promote`], and reclaimed by
-    /// normal LRU eviction otherwise. This is the cheap invalidation
-    /// for a small dictionary delta, where most cached results are
-    /// still correct and only the keys the delta touches must miss.
-    pub fn advance_generation(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Drops every entry and retires the current generation, so
-    /// in-flight [`ShardedCache::insert_at`] writers holding the old
-    /// generation are rejected.
+    /// Drops every entry. Stamps already keep entries of a replaced
+    /// dictionary from being served; this frees their memory.
     pub fn invalidate(&self) {
-        // Bump first: a writer that passes its generation check while
-        // we sweep holds a shard lock we have not reached yet, and its
-        // entry is removed when we do.
-        self.generation.fetch_add(1, Ordering::AcqRel);
         for shard in &self.shards {
             shard.lock().expect("cache shard poisoned").clear();
         }
@@ -498,25 +423,36 @@ impl<V: Clone> ShardedCache<V> {
 mod tests {
     use super::*;
 
+    const S: Stamp = Stamp {
+        lineage: 1,
+        revision: 0,
+    };
+
     /// A single-shard cache, so recency order is fully observable.
     fn one_shard(capacity: usize) -> ShardedCache<u32> {
         ShardedCache::new(1, capacity)
     }
 
+    /// A plain lookup at `S`.
+    fn get(c: &ShardedCache<u32>, key: &str) -> Option<u32> {
+        c.get(key, S, |_, _| {
+            panic!("promotion checked at the entry's own stamp")
+        })
+    }
+
     #[test]
     fn eviction_is_lru_and_get_refreshes_recency() {
         let c = one_shard(3);
-        let g = c.generation();
-        c.insert_at(g, "a", 1);
-        c.insert_at(g, "b", 2);
-        c.insert_at(g, "c", 3);
+        c.insert("a", S, 1);
+        c.insert("b", S, 2);
+        c.insert("c", S, 3);
         // Touch "a": recency becomes a > c > b.
-        assert_eq!(c.get("a"), Some(1));
-        c.insert_at(g, "d", 4);
-        assert_eq!(c.get("b"), None, "least-recently-used entry evicted");
-        assert_eq!(c.get("a"), Some(1));
-        assert_eq!(c.get("c"), Some(3));
-        assert_eq!(c.get("d"), Some(4));
+        assert_eq!(get(&c, "a"), Some(1));
+        c.insert("d", S, 4);
+        assert_eq!(get(&c, "b"), None, "least-recently-used entry evicted");
+        assert_eq!(get(&c, "a"), Some(1));
+        assert_eq!(get(&c, "c"), Some(3));
+        assert_eq!(get(&c, "d"), Some(4));
         let stats = c.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 3);
@@ -525,61 +461,53 @@ mod tests {
     #[test]
     fn eviction_chain_walks_recency_order() {
         let c = one_shard(2);
-        let g = c.generation();
-        c.insert_at(g, "a", 1);
-        c.insert_at(g, "b", 2);
-        c.insert_at(g, "c", 3); // evicts a
-        c.insert_at(g, "d", 4); // evicts b
-        assert_eq!(c.get("a"), None);
-        assert_eq!(c.get("b"), None);
-        assert_eq!(c.get("c"), Some(3));
-        assert_eq!(c.get("d"), Some(4));
+        c.insert("a", S, 1);
+        c.insert("b", S, 2);
+        c.insert("c", S, 3); // evicts a
+        c.insert("d", S, 4); // evicts b
+        assert_eq!(get(&c, "a"), None);
+        assert_eq!(get(&c, "b"), None);
+        assert_eq!(get(&c, "c"), Some(3));
+        assert_eq!(get(&c, "d"), Some(4));
         assert_eq!(c.stats().evictions, 2);
     }
 
     #[test]
     fn reinsert_refreshes_instead_of_duplicating() {
         let c = one_shard(2);
-        let g = c.generation();
-        c.insert_at(g, "a", 1);
-        c.insert_at(g, "b", 2);
-        c.insert_at(g, "a", 10); // refresh, not a new entry
-        c.insert_at(g, "c", 3); // evicts b (a was refreshed)
-        assert_eq!(c.get("a"), Some(10));
-        assert_eq!(c.get("b"), None);
-        assert_eq!(c.get("c"), Some(3));
+        c.insert("a", S, 1);
+        c.insert("b", S, 2);
+        c.insert("a", S, 10); // refresh, not a new entry
+        c.insert("c", S, 3); // evicts b (a was refreshed)
+        assert_eq!(get(&c, "a"), Some(10));
+        assert_eq!(get(&c, "b"), None);
+        assert_eq!(get(&c, "c"), Some(3));
         assert_eq!(c.len(), 2);
     }
 
     #[test]
-    fn invalidate_clears_and_rejects_stale_inserts() {
+    fn invalidate_clears_everything() {
         let c = ShardedCache::new(4, 64);
-        let old = c.generation();
-        assert!(c.insert_at(old, "x", 1));
-        assert_eq!(c.get("x"), Some(1));
+        assert!(c.insert("x", S, 1));
+        assert_eq!(get(&c, "x"), Some(1));
         c.invalidate();
-        assert_eq!(c.get("x"), None);
+        assert_eq!(get(&c, "x"), None);
         assert!(c.is_empty());
-        // A writer that snapshotted before the swap must be rejected.
-        assert!(!c.insert_at(old, "x", 1));
-        assert_eq!(c.get("x"), None);
-        // A fresh snapshot writes fine.
-        assert!(c.insert_at(c.generation(), "x", 2));
-        assert_eq!(c.get("x"), Some(2));
+        assert!(c.insert("x", S, 2));
+        assert_eq!(get(&c, "x"), Some(2));
         assert_eq!(c.stats().invalidations, 1);
     }
 
     #[test]
     fn keys_spread_over_shards() {
         let c = ShardedCache::new(8, 8 * 64);
-        let g = c.generation();
         for i in 0..256 {
-            assert!(c.insert_at(g, &format!("query number {i}"), i));
+            assert!(c.insert(&format!("query number {i}"), S, i));
         }
         assert_eq!(c.len(), 256);
         // Every key still resolves through its shard.
         for i in 0..256 {
-            assert_eq!(c.get(&format!("query number {i}")), Some(i));
+            assert_eq!(get(&c, &format!("query number {i}")), Some(i));
         }
         let stats = c.stats();
         assert_eq!(stats.hits, 256);
@@ -594,82 +522,89 @@ mod tests {
         // cache that keeps only the most recent insert.
         let c: ShardedCache<u32> = ShardedCache::new(1, 0);
         assert_eq!(c.capacity(), 1);
-        let g = c.generation();
-        assert!(c.insert_at(g, "a", 1));
-        assert!(c.insert_at(g, "b", 2));
+        assert!(c.insert("a", S, 1));
+        assert!(c.insert("b", S, 2));
         assert_eq!(c.len(), 1, "capacity 1 holds exactly one entry");
-        assert_eq!(c.get("a"), None);
-        assert_eq!(c.get("b"), Some(2));
+        assert_eq!(get(&c, "a"), None);
+        assert_eq!(get(&c, "b"), Some(2));
     }
 
     #[test]
-    fn advance_generation_hides_but_keeps_entries() {
+    fn older_stamp_promotes_only_when_the_check_passes() {
         let c = one_shard(8);
-        let g = c.generation();
-        c.insert_at(g, "a", 1);
-        c.insert_at(g, "b", 2);
-        let next = c.advance_generation();
-        assert_eq!(next, g + 1);
-        // get_at at the new generation misses, but the entries live on.
-        assert_eq!(c.get_at(next, "a"), None);
-        assert_eq!(c.len(), 2, "entries survive the bump");
-        // A stale caller still holding g is rejected outright.
-        assert_eq!(c.get_at(g, "a"), None);
-        assert!(!c.insert_at(g, "c", 3));
-        // Overwriting re-stamps, so the key is live again.
-        assert!(c.insert_at(next, "a", 10));
-        assert_eq!(c.get_at(next, "a"), Some(10));
-    }
-
-    #[test]
-    fn promote_restamps_only_approved_entries() {
-        let c = one_shard(8);
-        let g = c.generation();
-        c.insert_at(g, "touched", 1);
-        c.insert_at(g, "untouched", 2);
-        let next = c.advance_generation();
-        // The promote callback sees the key and the entry's old stamp.
-        let hit = c.get_at_or_promote(next, "untouched", |key, stamp| {
-            assert_eq!((key, stamp), ("untouched", g));
+        c.insert("touched", S, 1);
+        c.insert("untouched", S, 2);
+        let next = Stamp { revision: 2, ..S };
+        // The check sees the key and the entry's revision.
+        let hit = c.get("untouched", next, |key, revision| {
+            assert_eq!((key, revision), ("untouched", 0));
             true
         });
         assert_eq!(hit, Some(2));
-        // Promotion is sticky: a plain get_at now hits.
-        assert_eq!(c.get_at(next, "untouched"), Some(2));
-        // A rejected promotion stays a miss, entry left in place.
-        assert_eq!(c.get_at_or_promote(next, "touched", |_, _| false), None);
-        assert_eq!(c.get_at(next, "touched"), None);
+        // Promotion is sticky: the entry now carries the new stamp.
+        assert_eq!(c.get("untouched", next, |_, _| false), Some(2));
+        // A failed check is a miss, and the entry stays in place.
+        assert_eq!(c.get("touched", next, |_, _| false), None);
         assert_eq!(c.len(), 2);
+        // A newer entry is a miss for an older reader, unchecked.
+        assert_eq!(c.get("untouched", S, |_, _| panic!("newer checked")), None);
         let s = c.stats();
-        assert_eq!(s.promotions, 1);
+        assert_eq!((s.hits, s.misses, s.promotions), (2, 2, 1));
+    }
+
+    #[test]
+    fn another_lineage_misses_whatever_the_check_says() {
+        let c = one_shard(8);
+        c.insert("a", S, 1);
+        for lineage in [0, 2] {
+            for revision in [0, 5] {
+                let other = Stamp { lineage, revision };
+                assert_eq!(c.get("a", other, |_, _| true), None, "{other:?}");
+            }
+        }
+        assert_eq!(c.stats().promotions, 0);
+        assert_eq!(get(&c, "a"), Some(1), "still served at its own stamp");
+    }
+
+    #[test]
+    fn older_writer_never_overwrites_a_newer_stamp() {
+        let c = one_shard(8);
+        let newer = Stamp { revision: 3, ..S };
+        assert!(c.insert("a", newer, 30));
+        assert!(!c.insert("a", S, 10), "older revision");
+        let older_lineage = Stamp {
+            lineage: 0,
+            revision: 9,
+        };
+        assert!(!c.insert("a", older_lineage, 90), "older lineage");
+        assert_eq!(c.get("a", newer, |_, _| false), Some(30));
+        // The same or a newer stamp replaces it.
+        assert!(c.insert("a", newer, 31));
+        let next_lineage = Stamp {
+            lineage: 2,
+            revision: 0,
+        };
+        assert!(c.insert("a", next_lineage, 40));
+        assert_eq!(c.get("a", next_lineage, |_, _| false), Some(40));
     }
 
     #[test]
     fn promote_never_runs_for_missing_or_current_entries() {
         let c = one_shard(8);
-        let g = c.generation();
-        c.insert_at(g, "a", 1);
-        // Current-generation hit: promote must not be consulted.
-        assert_eq!(
-            c.get_at_or_promote(g, "a", |_, _| panic!("promote called on a fresh entry")),
-            Some(1)
-        );
-        // Absent key: promote must not be consulted either.
-        assert_eq!(
-            c.get_at_or_promote(g, "zzz", |_, _| panic!("promote called on a miss")),
-            None
-        );
+        c.insert("a", S, 1);
+        // Current-stamp hit and absent key: the check is not consulted.
+        assert_eq!(get(&c, "a"), Some(1));
+        assert_eq!(get(&c, "zzz"), None);
         assert_eq!(c.stats().promotions, 0);
     }
 
     #[test]
     fn stats_count_hits_and_misses() {
         let c = one_shard(8);
-        let g = c.generation();
-        assert_eq!(c.get("a"), None);
-        c.insert_at(g, "a", 1);
-        assert_eq!(c.get("a"), Some(1));
-        assert_eq!(c.get("a"), Some(1));
+        assert_eq!(get(&c, "a"), None);
+        c.insert("a", S, 1);
+        assert_eq!(get(&c, "a"), Some(1));
+        assert_eq!(get(&c, "a"), Some(1));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);

@@ -85,7 +85,6 @@ pub fn load_dict(dict: Option<&str>) -> Result<DictHandle, String> {
         Some(path) => {
             let tsv =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            #[allow(deprecated)]
             EntityMatcher::from_tsv(&tsv).map_err(|e| format!("cannot parse {path}: {e}"))?
         }
     };
@@ -667,7 +666,7 @@ mod tests {
         // matcher must survive the round trip (it seeds the smoke
         // test's oracle).
         let tsv = demo_matcher().to_tsv();
-        let back = DictHandle::from_tsv(&tsv).expect("parse").matcher();
+        let back = EntityMatcher::from_tsv(&tsv).expect("parse");
         assert_eq!(back.len(), demo_matcher().len());
         assert!(back.fuzzy_config().is_some(), "fuzzy flag survives");
     }

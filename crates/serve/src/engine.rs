@@ -21,39 +21,35 @@
 //!   (the `Cow` fast path) on the segmenter side.
 //!
 //! **Cache invalidation follows the dictionary's own granularity.**
-//! Every probe and every batch of misses synchronizes the cache with
-//! the handle ([`Engine::sync`] internally): a *lineage* change (new
-//! base artifact) wholesale-invalidates, because nothing cached is
-//! trustworthy; a *revision* advance (delta commits) merely advances
-//! the cache generation and remembers each delta's [`DeltaFootprint`]
-//! — cached results whose keys the footprints provably cannot affect
-//! are *promoted* (re-stamped, served) on their next lookup instead of
-//! recomputed, so a ten-surface delta does not cold-start a
-//! four-thousand-entry cache.
+//! The engine keeps no served-state of its own. A probe reads the
+//! handle's published [`FootprintLog`] and looks its key up at the
+//! log's `(lineage, revision)` [`Stamp`]; a miss is resolved by the
+//! matcher of the published [`DictView`] and cached under that view's
+//! stamp. An entry from an older revision of the same lineage is
+//! *promoted* (re-stamped, served) when every footprint committed
+//! since provably leaves its key alone, so a ten-surface delta does not
+//! cold-start a four-thousand-entry cache. An entry of another lineage
+//! (a replaced base) never hits; the first read of a new lineage still
+//! clears the cache, to free the memory and to count the swap.
 //!
 //! Cached and uncached paths return byte-identical results: the cache
 //! stores exactly what the matcher produced (and the response
-//! serialized from it), and generation-checked inserts (see
-//! [`ShardedCache::insert_at`]) make it impossible for a result
-//! computed against a retired dictionary revision to be served at a
-//! newer one.
+//! serialized from it), under the stamp of the view whose matcher
+//! produced it. A result computed at revision `r` and inserted after
+//! `r + 1` landed is served at `r + 1` only if footprint `r + 1` clears
+//! it — never because of when it was inserted.
 
-use crate::cache::{CacheStats, ShardedCache};
+use crate::cache::{CacheStats, ShardedCache, Stamp};
 use crate::http;
 use crate::metrics::{as_us, ServeMetrics};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use websyn_core::{
-    DeltaFootprint, DictDelta, DictHandle, DictStats, EntityMatcher, MatchScratch, MatchSpan,
-    SegmentRequest,
+    DictDelta, DictHandle, DictStats, DictView, EntityMatcher, FootprintLog, MatchScratch,
+    MatchSpan, SegmentRequest,
 };
 use websyn_text::normalized;
-
-/// Most footprints the engine keeps for selective cache promotion.
-/// Entries older than the oldest remembered footprint can no longer be
-/// proven safe and simply stay unpromotable (they age out by LRU).
-const GEN_LOG_CAP: usize = 64;
 
 /// One cached resolution: the spans plus the pre-rendered response,
 /// produced together on the filling miss. Both fields are shared
@@ -162,48 +158,13 @@ impl EngineBuilder {
 /// `cache_us` is nonzero — the segment and render stages never ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTiming {
-    /// Dictionary sync + normalize + result-cache probe, microseconds.
+    /// Dictionary log read + normalize + result-cache probe,
+    /// microseconds.
     pub cache_us: u64,
     /// Matcher segmentation, microseconds (0 on a hit).
     pub segment_us: u64,
     /// Response serialization + cache fill, microseconds (0 on a hit).
     pub render_us: u64,
-}
-
-/// The engine's view of which dictionary state the cache generation
-/// corresponds to, advanced by [`Engine::sync`] under one mutex so
-/// (matcher, generation, promotion log) snapshots are coherent.
-#[derive(Debug)]
-struct ServedState {
-    /// Last dictionary lineage the cache was synchronized to.
-    lineage: u64,
-    /// Last dictionary revision the cache was synchronized to.
-    revision: u64,
-    /// `(generation the commit landed at, its footprint)`, oldest
-    /// first, shared with in-flight batches as an immutable snapshot.
-    /// A cached entry stamped `g` is promotable to the current
-    /// generation iff `g >= floor` and every log entry with
-    /// generation > `g` has a footprint that cannot affect the key.
-    log: Arc<Vec<(u64, Arc<DeltaFootprint>)>>,
-    /// Entries stamped below this generation predate the log's reach
-    /// (or the last wholesale invalidation) and are never promoted.
-    floor: u64,
-}
-
-/// The cache side of an [`Engine::sync`] snapshot: the generation
-/// results are inserted at, and the promotion rule (floor + footprint
-/// log) hits are checked against.
-struct CacheView {
-    generation: u64,
-    floor: u64,
-    log: Arc<Vec<(u64, Arc<DeltaFootprint>)>>,
-}
-
-/// One [`Engine::sync`] snapshot: the matcher to resolve misses with,
-/// coherent with the cache view.
-struct Served {
-    matcher: Arc<EntityMatcher>,
-    cache: CacheView,
 }
 
 /// What [`Engine::probe`] found for one read.
@@ -221,8 +182,10 @@ pub enum Probe {
 #[derive(Debug)]
 pub struct Engine {
     dict: DictHandle,
-    served: Mutex<ServedState>,
     cache: ShardedCache<Rendered>,
+    /// The latest dictionary lineage any read has seen. Only used to
+    /// clear the cache (and count a swap) once per base replacement.
+    lineage: AtomicU64,
     swaps: AtomicU64,
     deltas: AtomicU64,
     metrics: ServeMetrics,
@@ -258,17 +221,10 @@ impl Engine {
 
     /// Creates an engine serving `dict` with the given cache sizing.
     pub fn with_dict(dict: DictHandle, config: EngineConfig) -> Self {
-        let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
-        let served = ServedState {
-            lineage: dict.lineage(),
-            revision: dict.revision(),
-            log: Arc::new(Vec::new()),
-            floor: cache.generation(),
-        };
         Self {
+            lineage: AtomicU64::new(dict.view().lineage()),
             dict,
-            served: Mutex::new(served),
-            cache,
+            cache: ShardedCache::new(config.cache_shards, config.cache_capacity),
             swaps: AtomicU64::new(0),
             deltas: AtomicU64::new(0),
             metrics: ServeMetrics::new(),
@@ -289,8 +245,7 @@ impl Engine {
 
     /// The dictionary lifecycle handle this engine serves. Changes
     /// published through it (deltas, compaction, base replacement) are
-    /// picked up — and the result cache synchronized — on the next
-    /// batch; [`Engine::apply_delta`] does both in one step.
+    /// served from the next read on.
     pub fn dict(&self) -> &DictHandle {
         &self.dict
     }
@@ -307,94 +262,32 @@ impl Engine {
         self.dict.stats()
     }
 
-    /// Synchronizes the result cache with the dictionary handle and
-    /// returns a coherent [`Served`] snapshot: results computed by its
-    /// matcher may be inserted at its generation, and promotion
-    /// decisions against its log are sound for entries at or above its
-    /// floor.
-    ///
-    /// - lineage change (unrelated base installed): wholesale
-    ///   invalidation — bump + sweep, empty log;
-    /// - revision advance with footprints available: one generation
-    ///   bump covering all new commits, footprints appended to the
-    ///   log (capped at [`GEN_LOG_CAP`], raising the floor);
-    /// - revision advance with footprints unavailable (handle's log
-    ///   ran out): wholesale invalidation.
-    ///
-    /// The cache generation only ever moves under the `served` mutex,
-    /// which is what makes the returned snapshot race-free.
-    fn sync(&self) -> Served {
-        let mut st = self.served.lock().expect("served state poisoned");
-        let view = self.dict.sync(st.lineage, st.revision);
-        if view.lineage != st.lineage {
+    /// The cache stamp of reads at `log`. The first read of a lineage
+    /// newer than any seen before clears the cache and counts a swap:
+    /// entries of the old lineage could never hit again, so this only
+    /// frees their memory.
+    fn stamp(&self, log: &FootprintLog) -> Stamp {
+        let lineage = log.lineage();
+        if lineage > self.lineage.load(Ordering::Acquire)
+            && self.lineage.fetch_max(lineage, Ordering::AcqRel) < lineage
+        {
             self.cache.invalidate();
             self.swaps.fetch_add(1, Ordering::AcqRel);
-            st.lineage = view.lineage;
-            st.revision = view.revision;
-            st.floor = self.cache.generation();
-            st.log = Arc::new(Vec::new());
-        } else if view.revision != st.revision {
-            match view.footprints {
-                Some(fps) if !fps.is_empty() => {
-                    let generation = self.cache.advance_generation();
-                    let mut log: Vec<_> = (*st.log).clone();
-                    log.extend(fps.into_iter().map(|fp| (generation, fp)));
-                    while log.len() > GEN_LOG_CAP {
-                        let (gen, _) = log.remove(0);
-                        // Entries stamped before the dropped footprint
-                        // can no longer be proven safe.
-                        st.floor = st.floor.max(gen);
-                    }
-                    st.log = Arc::new(log);
-                }
-                Some(_) => {}
-                None => {
-                    self.cache.invalidate();
-                    st.floor = self.cache.generation();
-                    st.log = Arc::new(Vec::new());
-                }
-            }
-            st.revision = view.revision;
         }
-        Served {
-            matcher: view.matcher,
-            cache: self.view_of(&st),
+        Stamp {
+            lineage,
+            revision: log.revision(),
         }
     }
 
-    /// [`Engine::sync`] for a probe, which needs no matcher. While the
-    /// handle has not moved since the last sync (every read but the
-    /// first after a commit), the cache view is read without cloning
-    /// the serving snapshot: a connection thread then holds no matcher,
-    /// so it cannot be the one left to free a base that a compaction
-    /// retired.
-    fn sync_cache(&self) -> CacheView {
-        {
-            let st = self.served.lock().expect("served state poisoned");
-            if self.dict.position() == (st.lineage, st.revision) {
-                return self.view_of(&st);
-            }
-        }
-        self.sync().cache
-    }
-
-    fn view_of(&self, st: &ServedState) -> CacheView {
-        CacheView {
-            generation: self.cache.generation(),
-            floor: st.floor,
-            log: Arc::clone(&st.log),
-        }
-    }
-
-    /// Stages and publishes `delta` through the handle, then
-    /// synchronizes the result cache (selectively, via the delta's
-    /// footprint) so the very next request is served against the new
-    /// surface set — no restart, no base recompile, no wholesale cache
-    /// flush. Returns the post-apply lifecycle counters.
+    /// Stages and publishes `delta` through the handle, so the very
+    /// next request is served against the new surface set — no
+    /// restart, no base recompile, no wholesale cache flush (cached
+    /// results the delta cannot touch are promoted on their next
+    /// lookup). Returns the post-apply lifecycle counters.
     pub fn apply_delta(&self, delta: DictDelta) -> DictStats {
         self.dict.apply(delta);
         self.deltas.fetch_add(1, Ordering::AcqRel);
-        self.sync();
         self.dict.stats()
     }
 
@@ -417,8 +310,8 @@ impl Engine {
         self.deltas.load(Ordering::Acquire)
     }
 
-    /// Number of completed lineage replacements (base swaps) observed
-    /// by this engine's cache synchronization.
+    /// Number of lineage replacements (base swaps) this engine's reads
+    /// have observed.
     pub fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::Acquire)
     }
@@ -462,27 +355,26 @@ impl Engine {
         self.resolve_inner(queries, Some(timings))
     }
 
-    /// Probes the result cache for one raw query: synchronizes with the
-    /// dictionary handle, normalizes, and looks the key up at the
-    /// current generation (promoting an older entry the intervening
-    /// deltas provably leave unchanged). Counts exactly one hit or one
-    /// miss and records the `cache_lookup` stage; also returns that
-    /// stage's duration in microseconds. This is the server's
+    /// Probes the result cache for one raw query: reads the
+    /// dictionary's published footprint log (never its matcher),
+    /// normalizes, and looks the key up at the log's stamp (promoting
+    /// an older entry the intervening deltas provably leave
+    /// unchanged). Counts exactly one hit or one miss and records the
+    /// `cache_lookup` stage; also returns that stage's duration in
+    /// microseconds. This is the server's
     /// connection-thread entry point: a hit is answered on the spot, a
     /// miss is queued with its key for [`Engine::resolve_misses`].
     pub fn probe(&self, query: &str) -> (Probe, u64) {
         let start = Instant::now();
-        let view = self.sync_cache();
-        self.probe_at(&view, query, start)
+        self.probe_at(&self.dict.log(), query, start)
     }
 
     /// Resolves normalized keys that [`Engine::probe`] reported as
     /// misses, without probing the cache again: segments each against
-    /// one dictionary snapshot (sharing one [`MatchScratch`]), renders
-    /// the response, fills the cache (generation-checked, so a
-    /// result from a snapshot a newer delta retired is never stored),
-    /// and hands `(index into keys, rendering, stage timing)` to `emit`
-    /// as soon as that key is done — a caller can answer each read
+    /// one dictionary view (sharing one [`MatchScratch`]), renders the
+    /// response, caches it under the view's stamp, and hands `(index
+    /// into keys, rendering, stage timing)` to `emit` as soon as that
+    /// key is done — a caller can answer each read
     /// without waiting for the rest. The timing's `cache_us` is 0: the
     /// probe ran elsewhere.
     pub fn resolve_misses<S: AsRef<str>>(
@@ -490,10 +382,11 @@ impl Engine {
         keys: &[S],
         mut emit: impl FnMut(usize, Rendered, StageTiming),
     ) {
-        let served = self.sync();
+        let view = self.dict.view();
+        let stamp = self.stamp(view.log());
         let mut scratch = MatchScratch::new();
         for (i, key) in keys.iter().enumerate() {
-            let (rendered, timing) = self.resolve_at(&served, key.as_ref(), &mut scratch);
+            let (rendered, timing) = self.resolve_at(&view, stamp, key.as_ref(), &mut scratch);
             emit(i, rendered, timing);
         }
     }
@@ -503,21 +396,21 @@ impl Engine {
         queries: &[S],
         mut timings: Option<&mut Vec<StageTiming>>,
     ) -> Vec<Rendered> {
-        // One snapshot for the whole batch, so a batch never mixes two
+        // One view for the whole batch, so a batch never mixes two
         // dictionary revisions.
-        let served = self.sync();
+        let view = self.dict.view();
+        let stamp = self.stamp(view.log());
         let mut scratch = MatchScratch::new();
         queries
             .iter()
             .map(|query| {
-                let (probe, cache_us) =
-                    self.probe_at(&served.cache, query.as_ref(), Instant::now());
+                let (probe, cache_us) = self.probe_at(view.log(), query.as_ref(), Instant::now());
                 // A hit records only the lookup stage: segment and
                 // render never ran, and zeros would dilute the
                 // miss-path stage distributions.
                 let (rendered, timing) = match probe {
                     Probe::Hit(hit) => (hit, StageTiming::default()),
-                    Probe::Miss(key) => self.resolve_at(&served, &key, &mut scratch),
+                    Probe::Miss(key) => self.resolve_at(&view, stamp, &key, &mut scratch),
                 };
                 if let Some(timings) = timings.as_deref_mut() {
                     timings.push(StageTiming { cache_us, ..timing });
@@ -527,26 +420,16 @@ impl Engine {
             .collect()
     }
 
-    /// The probe against an already-synchronized snapshot; the stage
-    /// clock started at `start`.
-    fn probe_at(&self, view: &CacheView, query: &str, start: Instant) -> (Probe, u64) {
+    /// The probe at `log`'s stamp; the stage clock started at `start`.
+    fn probe_at(&self, log: &FootprintLog, query: &str, start: Instant) -> (Probe, u64) {
+        let stamp = self.stamp(log);
         let normalized = normalized(query);
-        // Generation-checked lookup: if a dictionary change landed
-        // after the snapshot, a plain hit could carry spans of a newer
-        // revision than the snapshot's — the generation check rejects
-        // (and counts a miss) instead, and the query is recomputed. An
-        // entry stamped at an older generation of the *same* lineage
-        // is promoted when every intervening delta's footprint
-        // provably leaves this key's result unchanged.
-        let hit = self
-            .cache
-            .get_at_or_promote(view.generation, &normalized, |key, stamp| {
-                stamp >= view.floor
-                    && view
-                        .log
-                        .iter()
-                        .all(|(gen, fp)| *gen <= stamp || !fp.affects_query(key))
-            });
+        // An entry computed at this revision is served as is; one from
+        // an older revision of this lineage only when every footprint
+        // committed since provably leaves this key's result unchanged.
+        let hit = self.cache.get(&normalized, stamp, |key, revision| {
+            log.unchanged_since(revision, key)
+        });
         let cache_us = as_us(start.elapsed());
         self.metrics.cache_lookup.record(cache_us);
         let probe = match hit {
@@ -556,18 +439,18 @@ impl Engine {
         (probe, cache_us)
     }
 
-    /// Segments, renders and caches one normalized key against the
-    /// snapshot.
+    /// Segments, renders and caches one normalized key with `view`'s
+    /// matcher, under `view`'s `stamp`.
     fn resolve_at(
         &self,
-        served: &Served,
+        view: &DictView,
+        stamp: Stamp,
         key: &str,
         scratch: &mut MatchScratch,
     ) -> (Rendered, StageTiming) {
         let segment_start = Instant::now();
         let spans = Arc::new(
-            served
-                .matcher
+            view.matcher()
                 .resolve(SegmentRequest::normalized(key).scratch(scratch)),
         );
         let segment_us = as_us(segment_start.elapsed());
@@ -577,8 +460,7 @@ impl Engine {
             http: Arc::from(http::response(200, "OK", &http::spans_json(&spans)).as_str()),
             spans,
         };
-        self.cache
-            .insert_at(served.cache.generation, key, entry.clone());
+        self.cache.insert(key, stamp, entry.clone());
         let render_us = as_us(render_start.elapsed());
         self.metrics.render.record(render_us);
         let timing = StageTiming {
@@ -599,7 +481,8 @@ impl Engine {
     /// Unlike the result cache these survive a base replacement only
     /// if the new matcher shares the old cache
     /// ([`websyn_core::EntityMatcher::with_shared_window_cache`]);
-    /// delta commits keep the cache and invalidate by generation.
+    /// delta commits keep the cache and promote its entries by
+    /// footprint.
     pub fn window_cache_stats(&self) -> Option<websyn_core::WindowCacheStats> {
         self.matcher().window_cache().map(|c| c.stats())
     }

@@ -67,7 +67,7 @@
 
 use crate::cache::CacheStats;
 use crate::protocol::{Protocol, Reject, Request, RequestParser};
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 use std::sync::Arc;
 use websyn_core::{DictStats, MatchSpan, WindowCacheStats};
 
@@ -234,6 +234,14 @@ pub fn percent_encode(s: &str) -> String {
     out
 }
 
+/// Longest status or header line [`read_response`] accepts, newline
+/// included. Every line this crate writes is a few dozen bytes.
+pub const MAX_RESPONSE_LINE_BYTES: usize = 64 << 10;
+
+/// Largest body [`read_response`] accepts: far above the largest
+/// response this crate produces, a fleet-wide `/metrics` page.
+pub const MAX_RESPONSE_BODY_BYTES: usize = 64 << 20;
+
 /// Reads one `Content-Length`-framed HTTP response off `reader` and
 /// returns `(status, body)` — a minimal std-only client, enough to
 /// drive this crate's own server and the cluster router's upstream
@@ -243,11 +251,16 @@ pub fn percent_encode(s: &str) -> String {
 /// would make the proxy path version-fragile. Fails on any other
 /// version, a malformed status line, a missing/broken
 /// `Content-Length`, or a short read.
+///
+/// The peer is not trusted: a line longer than
+/// [`MAX_RESPONSE_LINE_BYTES`] or a `Content-Length` above
+/// [`MAX_RESPONSE_BODY_BYTES`] fails with `InvalidData`, and the body
+/// buffer grows with the bytes that actually arrive, not with the
+/// length the peer announced.
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, String)> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let mut line = String::new();
-    reader.read_line(&mut line)?;
-    if line.is_empty() {
+    if read_capped_line(reader, &mut line)? == 0 {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
     let status: u16 = line
@@ -259,7 +272,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, String)> {
     let mut content_length: Option<usize> = None;
     loop {
         line.clear();
-        reader.read_line(&mut line)?;
+        read_capped_line(reader, &mut line)?;
         let header = line.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
             break;
@@ -271,11 +284,33 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, String)> {
         }
     }
     let length = content_length.ok_or_else(|| bad("missing content-length"))?;
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body)?;
+    if length > MAX_RESPONSE_BODY_BYTES {
+        return Err(bad("body too large"));
+    }
+    let mut body = Vec::new();
+    reader.by_ref().take(length as u64).read_to_end(&mut body)?;
+    if body.len() < length {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(body)
         .map(|body| (status, body))
         .map_err(|_| bad("non-utf8 body"))
+}
+
+/// `read_line`, failing with `InvalidData` once a line reaches
+/// [`MAX_RESPONSE_LINE_BYTES`] without a newline.
+fn read_capped_line<R: BufRead>(reader: &mut R, line: &mut String) -> io::Result<usize> {
+    let n = reader
+        .by_ref()
+        .take(MAX_RESPONSE_LINE_BYTES as u64)
+        .read_line(line)?;
+    if n == MAX_RESPONSE_LINE_BYTES && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "response line too long",
+        ));
+    }
+    Ok(n)
 }
 
 /// Upper bound on header lines per request head — far above anything a

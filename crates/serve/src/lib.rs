@@ -88,14 +88,14 @@ mod engine;
 mod queue;
 mod server;
 
-pub use cache::{CacheStats, ShardedCache};
+pub use cache::{CacheStats, ShardedCache, Stamp};
 pub use cluster::{run_worker_if_flagged, Cluster, ClusterConfig, WORKER_SENTINEL};
 pub use engine::{Engine, EngineBuilder, EngineConfig, Probe, Rendered, StageTiming};
 pub use http::HttpProtocol;
 pub use metrics::{ServeMetrics, SlowEntry};
 pub use protocol::{Protocol, Reject, Request, RequestParser};
 pub use router::{Ring, Router, RouterConfig};
-pub use server::{ServeConfig, Server, ServerConfig, ServerConfigBuilder, ServerHandle};
+pub use server::{Server, ServerConfig, ServerConfigBuilder, ServerHandle};
 // The dictionary-lifecycle vocabulary Engine speaks, re-exported so
 // serving code needs no separate websyn_core import for it.
 pub use websyn_core::{DictDelta, DictHandle, DictStats};

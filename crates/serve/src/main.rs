@@ -29,6 +29,12 @@ use websyn_core::DictHandle;
 use websyn_serve::cluster::{load_dict, run_worker_if_flagged, Cluster, ClusterConfig};
 use websyn_serve::{http, Engine, EngineConfig, Server, ServerConfig};
 
+const USAGE: &str = "usage: websyn-serve [--proto http] [--addr A] [--dict F.tsv] \
+                     [--cluster N] [--replication N] \
+                     [--workers N] [--queue-depth N] [--batch-max N] [--batch-window-us N] \
+                     [--cache-capacity N] [--cache-shards N] \
+                     [--slow-threshold-us N] [--slow-sample-every N] [--smoke]";
+
 /// Parsed command line.
 struct Args {
     addr: String,
@@ -89,14 +95,8 @@ fn parse_args() -> Result<Args, String> {
                 args.server.slow_sample_every = parse(&value("--slow-sample-every")?)?
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: websyn-serve [--proto http] [--addr A] [--dict F.tsv] \
-                     [--cluster N] [--replication N] \
-                     [--workers N] [--queue-depth N] [--batch-max N] [--batch-window-us N] \
-                     [--cache-capacity N] [--cache-shards N] \
-                     [--slow-threshold-us N] [--slow-sample-every N] [--smoke]"
-                        .to_string(),
-                )
+                println!("{USAGE}");
+                std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }

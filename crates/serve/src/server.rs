@@ -99,10 +99,6 @@ pub struct ServerConfig {
     pub slow_sample_every: u64,
 }
 
-/// The pre-redesign name of [`ServerConfig`], kept as an alias so
-/// existing call sites (including struct literals) keep compiling.
-pub type ServeConfig = ServerConfig;
-
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {

@@ -1,0 +1,36 @@
+//! The command-line front ends answer `--help` the way scripts expect:
+//! usage on stdout, exit status 0.
+
+use std::process::Command;
+
+fn help(exe: &str, name: &str) {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(exe).arg(flag).output().expect("binary runs");
+        assert!(out.status.success(), "{name} {flag}: {:?}", out.status);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("usage: {name} ")),
+            "{name} {flag}: {stdout:?}"
+        );
+    }
+}
+
+#[test]
+fn serve_help_prints_usage_and_exits_zero() {
+    help(env!("CARGO_BIN_EXE_websyn-serve"), "websyn-serve");
+}
+
+#[test]
+fn cluster_help_prints_usage_and_exits_zero() {
+    help(env!("CARGO_BIN_EXE_websyn-cluster"), "websyn-cluster");
+}
+
+#[test]
+fn unknown_flags_still_fail() {
+    let out = Command::new(env!("CARGO_BIN_EXE_websyn-serve"))
+        .arg("--no-such-flag")
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("try --help"));
+}

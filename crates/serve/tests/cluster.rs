@@ -259,7 +259,7 @@ fn rolling_restart_onto_a_new_artifact_serves_the_new_dictionary() {
     let mut tsv = test_matcher().to_tsv();
     tsv.push_str("fresh artifact surface\t500\n");
     std::fs::write(&new_dict, &tsv).expect("write new dict");
-    #[allow(deprecated)] // from_tsv: the oracle loads exactly what workers load
+    // The oracle loads exactly what workers load.
     let new_oracle = EntityMatcher::from_tsv(&tsv).expect("parse new dict");
 
     {

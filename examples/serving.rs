@@ -18,7 +18,6 @@ use websyn::common::EntityId;
 use websyn::core::FuzzyConfig;
 use websyn::prelude::*;
 use websyn::serve::http::{percent_encode, read_response};
-use websyn::serve::ServeConfig;
 
 fn main() {
     // --- a fuzzy-enabled dictionary ---------------------------------
@@ -95,7 +94,7 @@ fn main() {
     // its rendered response, so a repeated query is a pure
     // lookup-and-write.
     println!("== live HTTP/1.1 round trip (keep-alive, pipelined) ==");
-    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default())
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
         .expect("bind ephemeral port");
     let conn = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));

@@ -80,7 +80,7 @@ pub mod prelude {
         MiningContext, MiningResult, SynonymMiner,
     };
     pub use websyn_engine::{SearchData, SearchEngine};
-    pub use websyn_serve::{Engine, EngineConfig, ServeConfig, Server, ShardedCache};
+    pub use websyn_serve::{Engine, EngineConfig, Server, ServerConfig, ShardedCache};
     pub use websyn_synth::{QueryStreamConfig, World, WorldConfig};
 }
 

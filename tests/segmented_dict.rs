@@ -369,7 +369,6 @@ fn concurrent_apply_while_resolving() {
                     if iters % 16 == r {
                         // Pin the snapshot against a monolithic
                         // recompile of its own artifact.
-                        #[allow(deprecated)]
                         let recompiled = EntityMatcher::from_tsv(&snapshot.to_tsv()).unwrap();
                         for (q, got) in queries.iter().zip(&spans) {
                             assert_eq!(
@@ -405,7 +404,6 @@ fn concurrent_apply_while_resolving() {
     let stats = handle.stats();
     assert_eq!(stats.pending, 0);
     let m = handle.matcher();
-    #[allow(deprecated)]
     let recompiled = EntityMatcher::from_tsv(&m.to_tsv()).unwrap();
     for q in &queries {
         assert_eq!(flatten(&m.segment(q)), flatten(&recompiled.segment(q)));

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use websyn::common::EntityId;
-use websyn::core::{EntityMatcher, FuzzyConfig, MatchSpan};
-use websyn::serve::{Engine, EngineConfig, ShardedCache};
+use websyn::core::{DictDelta, EntityMatcher, FuzzyConfig, MatchSpan};
+use websyn::serve::{Engine, EngineConfig, ShardedCache, Stamp};
 
 /// A span projected to plain data for cross-result comparison.
 type FlatSpan = (usize, usize, String, EntityId, usize);
@@ -156,29 +156,114 @@ proptest! {
         }
         prop_assert_eq!(engine.swaps(), 1);
     }
+
+    /// Cache-on ≡ cache-off through a live dictionary history: random
+    /// delta chains (new surfaces, re-points, tombstones), a compaction
+    /// mid-chain, a run of commits longer than the footprint log
+    /// reaches, and a base replacement. After every step each read
+    /// through a 4-entry result cache equals direct segmentation by the
+    /// served matcher, and every read counts exactly one hit or miss.
+    #[test]
+    fn cached_results_track_every_dictionary_change(
+        pool in collection::vec("[a-z]{3,8}( [a-z0-9]{2,5}){0,2}", 4..10),
+        base in collection::vec((0usize..64, 0u32..6), 2..8),
+        chain in collection::vec(collection::vec((0usize..64, 0u32..9), 1..4), 2..8),
+        picks in collection::vec((0usize..64, 0u64..1_000_000_000), 4..10),
+    ) {
+        let surface = |i: usize| pool[i % pool.len()].as_str();
+        let pairs = |shift: u32| -> Vec<(String, EntityId)> {
+            base.iter()
+                .map(|&(i, e)| (surface(i).to_string(), EntityId::new(e + shift)))
+                .collect()
+        };
+        // Ops 0..6 upsert (a re-point when the surface is already
+        // bound), 6..9 tombstone.
+        let delta = |ops: &[(usize, u32)], shift: u32| {
+            let mut delta = DictDelta::new();
+            for &(i, op) in ops {
+                match op {
+                    0..=5 => delta.upsert(surface(i), EntityId::new(op + shift)),
+                    _ => delta.tombstone(surface(i)),
+                }
+            }
+            delta
+        };
+        let queries: Vec<String> = picks
+            .iter()
+            .map(|&(i, seed)| match seed % 4 {
+                0 | 3 => surface(i).to_string(),
+                1 => mutate(surface(i), seed / 4),
+                _ => format!("{} noise{}", surface(i), seed % 13),
+            })
+            .collect();
+        let engine = Engine::new(
+            Arc::new(EntityMatcher::from_pairs(pairs(0)).with_fuzzy(FuzzyConfig::default())),
+            EngineConfig { cache_shards: 1, cache_capacity: 4 },
+        );
+        engine.dict().set_auto_compact(0);
+        let mut reads = 0u64;
+        let mut check = |step: &str| {
+            for query in &queries {
+                let got = engine.resolve(query);
+                let want = engine.matcher().segment(query);
+                prop_assert_eq!(flatten(&got), flatten(&want), "{} at {}", query, step);
+                reads += 1;
+            }
+            let stats = engine.cache_stats();
+            prop_assert_eq!(stats.hits + stats.misses, reads, "at {}", step);
+        };
+        check("base");
+        let (first, second) = chain.split_at(chain.len() / 2);
+        for ops in first {
+            engine.dict().apply(delta(ops, 0));
+            check("first half");
+        }
+        engine.dict().compact();
+        check("compaction");
+        for ops in second {
+            engine.dict().apply(delta(ops, 0));
+            check("second half");
+        }
+        // Past the footprint log's reach: entries cached before the run
+        // can no longer be proven unaffected.
+        for j in 0..70u32 {
+            engine.dict().apply(delta(&chain[j as usize % chain.len()], j % 3));
+            check("long run");
+        }
+        engine.dict().replace_base(
+            EntityMatcher::from_pairs(pairs(100)).with_fuzzy(FuzzyConfig::default()),
+        );
+        check("replacement");
+        for ops in &chain {
+            engine.dict().apply(delta(ops, 200));
+            check("new lineage");
+        }
+        prop_assert_eq!(engine.swaps(), 1);
+    }
 }
 
 #[test]
 fn eviction_order_is_lru_with_get_refresh() {
     // Single shard so recency order is fully observable through the
-    // public API.
+    // public API; every entry carries the same stamp.
     let cache: ShardedCache<u32> = ShardedCache::new(1, 3);
-    let generation = cache.generation();
-    assert!(cache.insert_at(generation, "alpha", 1));
-    assert!(cache.insert_at(generation, "beta", 2));
-    assert!(cache.insert_at(generation, "gamma", 3));
+    let stamp = Stamp::default();
+    let get = |key: &str| cache.get(key, stamp, |_, _| false);
+    assert!(cache.insert("alpha", stamp, 1));
+    assert!(cache.insert("beta", stamp, 2));
+    assert!(cache.insert("gamma", stamp, 3));
     // Refresh "alpha": recency is now alpha > gamma > beta.
-    assert_eq!(cache.get("alpha"), Some(1));
-    assert!(cache.insert_at(generation, "delta", 4));
-    assert_eq!(cache.get("beta"), None, "LRU entry evicted first");
-    assert_eq!(cache.get("alpha"), Some(1));
-    assert_eq!(cache.get("gamma"), Some(3));
-    assert_eq!(cache.get("delta"), Some(4));
+    assert_eq!(get("alpha"), Some(1));
+    assert!(cache.insert("delta", stamp, 4));
+    assert_eq!(get("beta"), None, "LRU entry evicted first");
+    assert_eq!(get("alpha"), Some(1));
+    assert_eq!(get("gamma"), Some(3));
+    assert_eq!(get("delta"), Some(4));
     // Two more inserts walk the rest of the recency order (beta is
     // gone; the touched entries above set order delta > gamma > alpha
     // by recency of access... evictions follow least-recent first).
-    assert!(cache.insert_at(generation, "epsilon", 5));
-    assert_eq!(cache.get("alpha"), None, "next least-recent evicted");
+    assert!(cache.insert("epsilon", stamp, 5));
+    assert_eq!(get("alpha"), None, "next least-recent evicted");
     let stats = cache.stats();
     assert_eq!(stats.evictions, 2);
     assert_eq!(stats.entries, 3);
