@@ -293,7 +293,7 @@ pub struct FuzzyDictionary {
     /// Chain index of the (first) source supporting per-position
     /// prefix generation — the one a [`PrefixContext`] feeds.
     prefix_source: Option<usize>,
-    /// Unique id of this compiled chain, the first half of every
+    /// Unique id of this compiled chain, the lineage of every
     /// window-cache stamp (see [`crate::window_cache::WindowCache`]):
     /// two dictionaries never share one unless they are clones of the
     /// same compilation, whose resolutions coincide by construction.
@@ -407,7 +407,7 @@ impl FuzzyDictionary {
             all_verifying,
             unanchored_masks,
             prefix_source,
-            uid: crate::window_cache::next_uid(),
+            uid: crate::stamp::next_uid(),
         }
     }
 
@@ -461,17 +461,22 @@ impl FuzzyDictionary {
         self.sources.push(SourceEntry::new(source, 1, usize::MAX));
         self.unanchored_masks = Self::compute_unanchored_masks(&self.sources);
         self.prefix_source = self.sources.iter().position(|e| e.prefix_capable);
-        // The chain changed, so resolutions may change: take a fresh
-        // uid so no window-cache entry stamped with the old one is
-        // served for the new chain.
-        self.uid = crate::window_cache::next_uid();
+        // The chain changed, so resolutions may change: no window-cache
+        // entry stamped with the old uid may be served for the new chain.
+        self.renew_uid();
     }
 
     /// The unique id [`crate::window_cache::WindowCache`] entries are
-    /// stamped with: fresh per compiled chain, refreshed when the chain
-    /// mutates.
+    /// stamped with: fresh per compiled chain, renewed when the chain
+    /// mutates or a new dictionary lineage adopts it.
     pub(crate) fn uid(&self) -> u64 {
         self.uid
+    }
+
+    /// Takes a fresh uid, so window-cache entries stamped with the old
+    /// one are never served to this dictionary.
+    pub(crate) fn renew_uid(&mut self) {
+        self.uid = crate::stamp::next_uid();
     }
 
     /// Whether every chain source verifies its proposals with an edit

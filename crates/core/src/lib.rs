@@ -49,6 +49,7 @@ pub mod metrics;
 pub mod miner;
 pub mod segment;
 pub mod select;
+pub mod stamp;
 pub mod surrogate;
 pub mod taxonomy;
 pub mod telemetry;
@@ -70,6 +71,7 @@ pub use segment::{
     SegmentedDict,
 };
 pub use select::select;
+pub use stamp::Stamp;
 pub use surrogate::{SurrogateSource, SurrogateTable};
 pub use taxonomy::{classify, RelationCounts, TruthClass};
 pub use telemetry::{matcher_telemetry, MatcherTelemetry};

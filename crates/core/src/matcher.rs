@@ -26,6 +26,7 @@ use crate::dict::CompiledDict;
 use crate::fuzzy::{FuzzyConfig, FuzzyDictionary, FuzzyMatch, PrefixContext};
 use crate::miner::MiningResult;
 use crate::segment::OverlayState;
+use crate::stamp::Stamp;
 use crate::window_cache::WindowCache;
 use std::sync::Arc;
 use websyn_common::{EntityId, SurfaceId};
@@ -280,6 +281,16 @@ impl EntityMatcher {
     /// footprint proposal probes against it).
     pub(crate) fn fuzzy_dict(&self) -> Option<&FuzzyDictionary> {
         self.fuzzy.as_ref()
+    }
+
+    /// Gives the fuzzy side a fresh window-cache uid
+    /// ([`FuzzyDictionary::renew_uid`]): a [`crate::segment::SegmentedDict`]
+    /// does this to its base, so its delta epochs stamp windows under a
+    /// uid no other chain uses.
+    pub(crate) fn renew_window_uid(&mut self) {
+        if let Some(fuzzy) = &mut self.fuzzy {
+            fuzzy.renew_uid();
+        }
     }
 
     /// Attaches a live delta overlay — [`crate::segment::SegmentedDict`]
@@ -686,7 +697,10 @@ impl EntityMatcher {
                         let prune = fuzzy.all_verifying();
                         // Window-cache entries are stamped with this
                         // fuzzy dictionary, at delta epoch 0.
-                        let stamp = (fuzzy.uid(), 0);
+                        let stamp = Stamp {
+                            lineage: fuzzy.uid(),
+                            revision: 0,
+                        };
                         while i < n {
                             let longest = self.dict.max_tokens().min(n - i);
                             let exact = self.dict.longest_match(&ids[i..], longest);
@@ -903,7 +917,10 @@ impl EntityMatcher {
                 CHAR_BOUNDS.with_borrow_mut(|char_bounds| {
                     token_char_bounds(normalized, bounds, char_bounds);
                     let prune = bf.all_verifying();
-                    let stamp = (bf.uid(), ov.epoch);
+                    let stamp = Stamp {
+                        lineage: bf.uid(),
+                        revision: ov.epoch,
+                    };
                     while i < n {
                         let longest = ov.live_max_tokens.min(n - i);
                         let exact = self.merged_exact(ov, &ids[i..], &oids[i..], longest);

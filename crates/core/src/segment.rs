@@ -34,9 +34,9 @@
 //! by [`DictHandle::commit`], or [`DictHandle::apply`] for both at
 //! once), compact explicitly or automatically, or install an unrelated
 //! base ([`DictHandle::replace_base`]). Caches downstream keep no
-//! counters of their own: a result is stamped with the view position
-//! that computed it, and an older stamp is promoted only when every
-//! footprint committed since clears the key.
+//! counters of their own: a result is stamped ([`crate::Stamp`]) with
+//! the view position that computed it, and an older stamp is promoted
+//! only when every footprint committed since clears the key.
 //!
 //! Resolution over base + deltas is **byte-identical** to a monolithic
 //! recompile of the merged surface set (pinned by the
@@ -449,7 +449,7 @@ impl FootprintLog {
     /// The empty log of a new lineage.
     fn new() -> Self {
         Self {
-            lineage: crate::window_cache::next_uid(),
+            lineage: crate::stamp::next_uid(),
             revision: 0,
             footprints: Vec::new(),
         }
@@ -587,8 +587,13 @@ pub struct SegmentedDict {
 }
 
 impl SegmentedDict {
-    /// Wraps a freshly compiled matcher as the base of a new lineage.
-    pub fn new(base: EntityMatcher) -> Self {
+    /// Wraps a compiled matcher as the base of a new lineage. The base
+    /// takes a fresh window-cache uid, so this lineage's delta epochs
+    /// never stamp windows under a uid another chain also stamps — not
+    /// even when `base` is a clone another handle or an earlier lineage
+    /// also built on.
+    pub fn new(mut base: EntityMatcher) -> Self {
+        base.renew_window_uid();
         let view = DictView {
             log: Arc::new(FootprintLog::new()),
             matcher: Arc::new(base.clone()),

@@ -18,18 +18,23 @@
 //!   fuzzy dictionary, so cached entries can never change an output —
 //!   only skip recomputing it (pinned by the cache-on ≡ cache-off
 //!   property tests);
-//! - every entry is **stamped** with the dictionary that computed it:
-//!   the base fuzzy dictionary's unique id and the delta epoch on top
-//!   of it (0 for a plain matcher). A probe hits only an entry with
-//!   its own stamp, so a cache shared across a rebuild-and-swap never
-//!   serves a window another compiled dictionary resolved, and the
-//!   cache keeps no counter of its own;
+//! - every entry is **stamped** ([`crate::Stamp`]) with the dictionary
+//!   that computed it: the base fuzzy dictionary's unique id and the
+//!   delta epoch on top of it (0 for a plain matcher). A probe hits
+//!   only an entry with its own stamp, so a cache shared across a
+//!   rebuild-and-swap never serves a window another compiled
+//!   dictionary resolved, and the cache keeps no counter of its own;
 //! - an entry from an older epoch of the same base is **promoted** —
 //!   re-stamped and served — when every delta committed since provably
 //!   leaves the window alone (the footprint test of `crate::segment`).
-//!   A fuzzy dictionary's id is never reused once its candidate chain
-//!   changes, so an id's own entries stay valid for as long as that id
-//!   serves, including when it returns after another one.
+//!
+//! One `(uid, epoch)` names one dictionary because a uid never names
+//! two delta chains: a fuzzy dictionary takes a fresh uid when it is
+//! compiled, when its candidate chain changes, and when a
+//! [`crate::SegmentedDict`] adopts it as the base of a new lineage, so
+//! two handles built from clones of one matcher, or a base restored
+//! from an earlier clone, never share a uid. A plain matcher stamps
+//! epoch 0 only, its compiled content, which never changes.
 //!
 //! Keys are the 64-bit SipHash of the window text, with the full text
 //! stored in the entry and **verified on every hit** — a probe whose
@@ -45,6 +50,7 @@
 //! themselves then key on that already-uniform hash through a
 //! passthrough hasher rather than hashing twice.
 
+use crate::Stamp;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
@@ -84,10 +90,6 @@ impl BuildHasher for Passthrough {
         Passthrough(0)
     }
 }
-
-/// Which dictionary a window entry was resolved against: the base
-/// fuzzy dictionary's unique id and the delta epoch on top of it.
-pub(crate) type Stamp = (u64, u64);
 
 /// One cached window: the full text (for hit verification), the stamp
 /// of the dictionary that resolved it, and its resolution.
@@ -173,38 +175,33 @@ impl WindowCache {
         (h, (h >> 60) as usize % SHARDS)
     }
 
-    /// Looks `key` up for the dictionary stamped `(uid, epoch)`. An
-    /// entry with exactly that stamp is a hit. An entry from an older
-    /// epoch of the same `uid` is promoted — re-stamped in place and
-    /// served as a hit — when `unaffected_since(window, entry_epoch)`
-    /// proves that the deltas committed since cannot change its
-    /// resolution (the conservative footprint test of
-    /// `crate::segment`); a delta commit thus invalidates only the
-    /// windows it could actually touch. Anything else — another uid, a
-    /// newer epoch, a failed check, or a hash match whose stored text
-    /// differs — is a miss.
+    /// Looks `key` up for the dictionary at `stamp` (uid as lineage,
+    /// delta epoch as revision) under the rule of [`Stamp::serves`]: an
+    /// entry from an older epoch of the same uid is promoted —
+    /// re-stamped in place and served — when
+    /// `unaffected_since(window, entry_epoch)` proves that the deltas
+    /// committed since cannot change its resolution (the conservative
+    /// footprint test of `crate::segment`), so a delta commit
+    /// invalidates only the windows it could actually touch. A hash
+    /// match whose stored text differs is a miss too.
     pub(crate) fn get(
         &self,
         key: &str,
-        (uid, epoch): Stamp,
+        stamp: Stamp,
         unaffected_since: impl FnOnce(&str, u64) -> bool,
     ) -> Option<Resolution> {
         let (h, idx) = self.locate(key);
         let mut shard = self.shards[idx].lock().expect("window cache poisoned");
         match shard.map.get_mut(&h) {
-            Some(e) if *e.key == *key && e.stamp == (uid, epoch) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.resolution)
-            }
             Some(e)
                 if *e.key == *key
-                    && e.stamp.0 == uid
-                    && e.stamp.1 < epoch
-                    && unaffected_since(&e.key, e.stamp.1) =>
+                    && e.stamp.serves(stamp, |epoch| unaffected_since(key, epoch)) =>
             {
-                e.stamp = (uid, epoch);
+                if e.stamp != stamp {
+                    e.stamp = stamp;
+                    self.promotions.fetch_add(1, Ordering::Relaxed);
+                }
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.promotions.fetch_add(1, Ordering::Relaxed);
                 Some(e.resolution)
             }
             _ => {
@@ -217,17 +214,16 @@ impl WindowCache {
     /// Records `key`'s resolution under `stamp`, evicting oldest
     /// entries (FIFO) past the shard budget. Re-recording a window the
     /// cache already holds (same text, e.g. under a fresh stamp)
-    /// updates the entry in place without allocating — unless the entry
-    /// is from a newer epoch of the same uid, which an older reader
-    /// never overwrites. A hash collision with different text
-    /// overwrites the colliding entry.
+    /// updates the entry in place without allocating — unless the
+    /// entry's stamp is later ([`Stamp::may_replace`]). A hash
+    /// collision with different text overwrites the colliding entry.
     pub(crate) fn insert(&self, key: &str, stamp: Stamp, resolution: Resolution) {
         let (h, idx) = self.locate(key);
         let mut shard = self.shards[idx].lock().expect("window cache poisoned");
         if let Some(e) = shard.map.get_mut(&h) {
             if *e.key != *key {
                 e.key = key.into();
-            } else if e.stamp.0 == stamp.0 && e.stamp.1 > stamp.1 {
+            } else if !stamp.may_replace(e.stamp) {
                 return;
             }
             e.stamp = stamp;
@@ -269,19 +265,16 @@ impl WindowCache {
     }
 }
 
-/// Source of the unique ids that stamp fuzzy dictionaries and
-/// dictionary lineages. Monotone, so a later id compares greater.
-static NEXT_UID: AtomicU64 = AtomicU64::new(1);
-
-/// A fresh nonzero uid for a newly compiled (or mutated) fuzzy
-/// dictionary, or a new dictionary lineage.
-pub(crate) fn next_uid() -> u64 {
-    NEXT_UID.fetch_add(1, Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const fn at(uid: u64, epoch: u64) -> Stamp {
+        Stamp {
+            lineage: uid,
+            revision: epoch,
+        }
+    }
 
     /// A promotion check that must never run.
     fn never(_: &str, _: u64) -> bool {
@@ -291,14 +284,14 @@ mod tests {
     #[test]
     fn hit_after_insert_same_stamp() {
         let c = WindowCache::new(64);
-        assert_eq!(c.get("canon eos", (1, 0), never), None);
-        c.insert("canon eos", (1, 0), Some((SurfaceId::new(3), 1)));
+        assert_eq!(c.get("canon eos", at(1, 0), never), None);
+        c.insert("canon eos", at(1, 0), Some((SurfaceId::new(3), 1)));
         assert_eq!(
-            c.get("canon eos", (1, 0), never),
+            c.get("canon eos", at(1, 0), never),
             Some(Some((SurfaceId::new(3), 1)))
         );
-        c.insert("junk window", (1, 0), None);
-        assert_eq!(c.get("junk window", (1, 0), never), Some(None));
+        c.insert("junk window", at(1, 0), None);
+        assert_eq!(c.get("junk window", at(1, 0), never), Some(None));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 1, 2));
     }
@@ -306,16 +299,16 @@ mod tests {
     #[test]
     fn rebinding_a_different_dictionary_hides_old_entries() {
         let c = WindowCache::new(64);
-        c.insert("window", (1, 0), Some((SurfaceId::new(9), 2)));
-        assert!(c.get("window", (1, 0), never).is_some());
+        c.insert("window", at(1, 0), Some((SurfaceId::new(9), 2)));
+        assert!(c.get("window", at(1, 0), never).is_some());
         // Another uid never sees the entry, whatever its epoch, and
         // never consults the promotion check.
-        assert_eq!(c.get("window", (2, 0), never), None);
-        assert_eq!(c.get("window", (2, 3), never), None);
-        // The uid's own entry is still there when it returns: a uid is
-        // never reused for different content.
+        assert_eq!(c.get("window", at(2, 0), never), None);
+        assert_eq!(c.get("window", at(2, 3), never), None);
+        // The uid's own entry is still there when it returns: one
+        // (uid, epoch) never names two dictionaries.
         assert_eq!(
-            c.get("window", (1, 0), never),
+            c.get("window", at(1, 0), never),
             Some(Some((SurfaceId::new(9), 2)))
         );
     }
@@ -323,23 +316,23 @@ mod tests {
     #[test]
     fn older_epochs_promote_only_when_cleared() {
         let c = WindowCache::new(64);
-        c.insert("kept", (1, 0), None);
-        c.insert("touched", (1, 0), None);
+        c.insert("kept", at(1, 0), None);
+        c.insert("touched", at(1, 0), None);
         // The check sees the entry's epoch; a pass re-stamps it.
         assert_eq!(
-            c.get("kept", (1, 2), |key, epoch| {
+            c.get("kept", at(1, 2), |key, epoch| {
                 assert_eq!((key, epoch), ("kept", 0));
                 true
             }),
             Some(None)
         );
-        assert_eq!(c.get("kept", (1, 2), never), Some(None), "re-stamped");
-        assert_eq!(c.get("touched", (1, 2), |_, _| false), None);
+        assert_eq!(c.get("kept", at(1, 2), never), Some(None), "re-stamped");
+        assert_eq!(c.get("touched", at(1, 2), |_, _| false), None);
         // A newer entry is invisible to an older epoch, and an older
         // writer does not overwrite it.
-        assert_eq!(c.get("kept", (1, 1), never), None);
-        c.insert("kept", (1, 1), Some((SurfaceId::new(4), 0)));
-        assert_eq!(c.get("kept", (1, 2), never), Some(None));
+        assert_eq!(c.get("kept", at(1, 1), never), None);
+        c.insert("kept", at(1, 1), Some((SurfaceId::new(4), 0)));
+        assert_eq!(c.get("kept", at(1, 2), never), Some(None));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.promotions), (3, 2, 1));
     }
@@ -347,35 +340,33 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place() {
         let c = WindowCache::new(64);
-        c.insert("canon eos", (1, 0), None);
+        c.insert("canon eos", at(1, 0), None);
         assert_eq!(c.stats().entries, 1);
         // Same window under another dictionary: the entry is refreshed
         // in place — entry count stays flat and the new resolution wins.
-        c.insert("canon eos", (2, 0), Some((SurfaceId::new(7), 1)));
+        c.insert("canon eos", at(2, 0), Some((SurfaceId::new(7), 1)));
         assert_eq!(c.stats().entries, 1);
         assert_eq!(
-            c.get("canon eos", (2, 0), never),
+            c.get("canon eos", at(2, 0), never),
             Some(Some((SurfaceId::new(7), 1)))
         );
-        assert_eq!(c.get("canon eos", (1, 0), never), None, "overwritten");
+        assert_eq!(c.get("canon eos", at(1, 0), never), None, "overwritten");
+        // The earlier dictionary's writer cannot push its entry back.
+        c.insert("canon eos", at(1, 0), None);
+        assert_eq!(
+            c.get("canon eos", at(2, 0), never),
+            Some(Some((SurfaceId::new(7), 1)))
+        );
     }
 
     #[test]
     fn eviction_keeps_the_map_bounded() {
         let c = WindowCache::new(SHARDS); // one entry per shard
         for i in 0..1000 {
-            c.insert(&format!("window {i}"), (1, 0), None);
+            c.insert(&format!("window {i}"), at(1, 0), None);
         }
         let s = c.stats();
         assert!(s.entries <= s.capacity, "{s:?}");
         assert_eq!(s.capacity, SHARDS);
-    }
-
-    #[test]
-    fn uids_are_unique_and_nonzero() {
-        let a = next_uid();
-        let b = next_uid();
-        assert_ne!(a, 0);
-        assert!(b > a);
     }
 }

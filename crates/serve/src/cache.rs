@@ -11,7 +11,8 @@
 //!
 //! **Every entry carries the [`Stamp`] of the dictionary that computed
 //! it**, and the cache keeps no counter of its own. A lookup names the
-//! stamp it reads at:
+//! stamp it reads at, and [`Stamp::serves`] — the rule the matcher's
+//! window cache applies too — decides:
 //!
 //! - an entry with exactly that stamp is a hit;
 //! - an entry from an older revision of the same lineage is
@@ -24,7 +25,8 @@
 //! - anything else — another lineage, a newer revision, a failed
 //!   check — is a miss.
 //!
-//! An insert never replaces a newer stamp with an older one, so a
+//! An insert never replaces a newer stamp with an older one
+//! ([`Stamp::may_replace`]), so a
 //! worker that resolved against a dictionary a delta has since retired
 //! leaves at most an older entry, which is served again only after the
 //! check clears it. [`ShardedCache::invalidate`] drops every entry; it
@@ -36,20 +38,10 @@ use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use websyn_core::Stamp;
 
 /// Sentinel slot index for "no entry" in the intrusive LRU list.
 const NIL: u32 = u32::MAX;
-
-/// The dictionary position a cached value was computed at. Ordered
-/// lineage first: lineages are minted in increasing order, so a
-/// greater stamp is always the later dictionary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct Stamp {
-    /// Dictionary identity (changes only on a base replacement).
-    pub lineage: u64,
-    /// Commits since the lineage began.
-    pub revision: u64,
-}
 
 /// Aggregated cache counters, summed over all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -193,14 +185,11 @@ impl<V: Clone> LruShard<V> {
             return None;
         };
         let entry = self.entry(i);
+        if !entry.stamp.serves(stamp, |revision| promote(key, revision)) {
+            self.misses += 1;
+            return None;
+        }
         if entry.stamp != stamp {
-            let promoted = entry.stamp.lineage == stamp.lineage
-                && entry.stamp.revision < stamp.revision
-                && promote(&entry.key, entry.stamp.revision);
-            if !promoted {
-                self.misses += 1;
-                return None;
-            }
             self.entry_mut(i).stamp = stamp;
             self.promotions += 1;
         }
@@ -215,7 +204,7 @@ impl<V: Clone> LruShard<V> {
     fn insert(&mut self, key: &str, stamp: Stamp, value: V) -> bool {
         if let Some(&i) = self.map.get(key) {
             let e = self.entry_mut(i);
-            if e.stamp > stamp {
+            if !stamp.may_replace(e.stamp) {
                 return false;
             }
             e.value = value;

@@ -39,7 +39,7 @@
 //! `r + 1` landed is served at `r + 1` only if footprint `r + 1` clears
 //! it — never because of when it was inserted.
 
-use crate::cache::{CacheStats, ShardedCache, Stamp};
+use crate::cache::{CacheStats, ShardedCache};
 use crate::http;
 use crate::metrics::{as_us, ServeMetrics};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use websyn_core::{
     DictDelta, DictHandle, DictStats, DictView, EntityMatcher, FootprintLog, MatchScratch,
-    MatchSpan, SegmentRequest,
+    MatchSpan, SegmentRequest, Stamp,
 };
 use websyn_text::normalized;
 

@@ -88,7 +88,7 @@ mod engine;
 mod queue;
 mod server;
 
-pub use cache::{CacheStats, ShardedCache, Stamp};
+pub use cache::{CacheStats, ShardedCache};
 pub use cluster::{run_worker_if_flagged, Cluster, ClusterConfig, WORKER_SENTINEL};
 pub use engine::{Engine, EngineBuilder, EngineConfig, Probe, Rendered, StageTiming};
 pub use http::HttpProtocol;
@@ -98,4 +98,4 @@ pub use router::{Ring, Router, RouterConfig};
 pub use server::{Server, ServerConfig, ServerConfigBuilder, ServerHandle};
 // The dictionary-lifecycle vocabulary Engine speaks, re-exported so
 // serving code needs no separate websyn_core import for it.
-pub use websyn_core::{DictDelta, DictHandle, DictStats};
+pub use websyn_core::{DictDelta, DictHandle, DictStats, Stamp};

@@ -184,8 +184,9 @@ fn check_equivalence(
     };
     let base = EntityMatcher::from_pairs(pairs).with_fuzzy(config.clone());
     // Two handles over the same lifecycle: one with the shared
-    // cross-batch window cache (exercising the generation ladder and
-    // footprint promotion across commits), one without.
+    // cross-batch window cache (exercising its (uid, epoch) stamps:
+    // another uid's entries are invisible, older-epoch entries are
+    // promoted by footprint across commits), one without.
     let cache = Arc::new(WindowCache::new(256));
     let cached_handle = DictHandle::new(base.clone().with_shared_window_cache(Arc::clone(&cache)));
     let plain_handle = DictHandle::new(base);
@@ -228,8 +229,7 @@ fn check_equivalence(
                 q
             );
             // Two passes on the cached matcher: cold (footprint
-            // promotion / re-resolution) then warm (exact-generation
-            // hits).
+            // promotion / re-resolution) then warm (own-stamp hits).
             assert_eq!(
                 &flatten(&cached.segment(q)),
                 &want,
@@ -333,6 +333,56 @@ proptest! {
         };
         check_equivalence(pairs, deltas, segments, config);
     }
+}
+
+/// One `(fuzzy uid, epoch)` window-cache stamp names one dictionary,
+/// whichever handles share the cache: a base restored from a clone
+/// after a compaction, and two handles built from clones of one
+/// matcher, stamp their delta epochs under uids of their own. Each
+/// case first caches a window verdict on a chain that tombstones
+/// "canon eos 350d", then resolves the typo on a chain that only adds
+/// an unrelated surface, at the same epoch.
+#[test]
+fn window_stamps_never_cross_delta_chains() {
+    let config = FuzzyConfig::default();
+    let pairs = [
+        ("canon eos", 1),
+        ("canon eos 350d", 2),
+        ("sony alpha a100", 3),
+    ];
+    let mut model: FxHashMap<String, EntityId> = pairs
+        .iter()
+        .map(|&(s, e)| (s.to_string(), EntityId::new(e)))
+        .collect();
+    let base = EntityMatcher::from_pairs(model.clone())
+        .with_fuzzy(config.clone())
+        .with_window_cache(256);
+    let mut tombstone = DictDelta::new();
+    tombstone.tombstone("canon eos 350d");
+    let mut unrelated = DictDelta::new();
+    unrelated.upsert("pentax k10d", EntityId::new(4));
+    model.insert("pentax k10d".to_string(), EntityId::new(4));
+    let want = flatten(&oracle(&model, &config).segment("cannon eos 350d"));
+    assert_eq!(want[0].2, "canon eos 350d", "the typo resolves whole");
+
+    // Rollback: tombstone, compact, restore a clone of the base, then
+    // commit an unrelated delta.
+    let handle = DictHandle::new(base.clone());
+    handle.set_auto_compact(0);
+    handle.apply(tombstone.clone());
+    assert_ne!(flatten(&handle.matcher().segment("cannon eos 350d")), want);
+    handle.compact();
+    handle.replace_base(base.clone());
+    handle.apply(unrelated.clone());
+    assert_eq!(flatten(&handle.matcher().segment("cannon eos 350d")), want);
+
+    // Two live handles over clones of one matcher.
+    let a = DictHandle::new(base.clone());
+    let b = DictHandle::new(base);
+    a.apply(tombstone);
+    b.apply(unrelated);
+    assert_ne!(flatten(&a.matcher().segment("cannon eos 350d")), want);
+    assert_eq!(flatten(&b.matcher().segment("cannon eos 350d")), want);
 }
 
 /// Readers resolve on epoch-pinned snapshots while a writer commits

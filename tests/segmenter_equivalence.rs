@@ -355,9 +355,10 @@ proptest! {
     /// The cross-batch window cache is a pure-function cache: spans
     /// are byte-identical with it attached and without — across
     /// repeated queries (warm entries), sharded batches, a tiny
-    /// capacity (live eviction), and a rebuild-and-swap that re-binds
-    /// the same cache to a different dictionary (the generation bump
-    /// must hide every old window, in both swap directions).
+    /// capacity (live eviction), and a rebuild-and-swap that shares
+    /// the same cache with a different dictionary (entries stamped with
+    /// another fuzzy dictionary's uid stay invisible, in both swap
+    /// directions).
     #[test]
     fn window_cache_is_invisible_to_spans(
         pairs in collection::vec(("[a-z]{3,10}( [a-z0-9]{2,6}){0,2}", 0u32..6), 2..14),
@@ -393,7 +394,7 @@ proptest! {
                 prop_assert_eq!(&flatten(spans), want);
             }
         }
-        // Rebuild-and-swap: a different dictionary binds the same
+        // Rebuild-and-swap: a different dictionary shares the same
         // cache — the warm entries above must be invisible to it.
         let mut swapped_pairs = pairs.clone();
         swapped_pairs.truncate(swapped_pairs.len().div_ceil(2));

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use websyn::common::EntityId;
-use websyn::core::{DictDelta, EntityMatcher, FuzzyConfig, MatchSpan};
+use websyn::core::{DictDelta, DictHandle, EntityMatcher, FuzzyConfig, MatchSpan, WindowCache};
 use websyn::serve::{Engine, EngineConfig, ShardedCache, Stamp};
 
 /// A span projected to plain data for cross-result comparison.
@@ -160,9 +160,11 @@ proptest! {
     /// Cache-on ≡ cache-off through a live dictionary history: random
     /// delta chains (new surfaces, re-points, tombstones), a compaction
     /// mid-chain, a run of commits longer than the footprint log
-    /// reaches, and a base replacement. After every step each read
-    /// through a 4-entry result cache equals direct segmentation by the
-    /// served matcher, and every read counts exactly one hit or miss.
+    /// reaches, a compaction and a rollback to a clone of the original
+    /// base followed by more deltas, and a base replacement. Every base
+    /// shares one window cache. After every step each read through a
+    /// 4-entry result cache equals direct segmentation by the served
+    /// matcher, and every read counts exactly one hit or miss.
     #[test]
     fn cached_results_track_every_dictionary_change(
         pool in collection::vec("[a-z]{3,8}( [a-z0-9]{2,5}){0,2}", 4..10),
@@ -196,17 +198,37 @@ proptest! {
                 _ => format!("{} noise{}", surface(i), seed % 13),
             })
             .collect();
+        let windows = Arc::new(WindowCache::new(64));
+        let compile = |shift: u32| {
+            EntityMatcher::from_pairs(pairs(shift)).with_fuzzy(FuzzyConfig::default())
+        };
+        let cached = |shift: u32| compile(shift).with_shared_window_cache(Arc::clone(&windows));
+        let original = cached(0);
         let engine = Engine::new(
-            Arc::new(EntityMatcher::from_pairs(pairs(0)).with_fuzzy(FuzzyConfig::default())),
+            Arc::new(original.clone()),
             EngineConfig { cache_shards: 1, cache_capacity: 4 },
         );
-        engine.dict().set_auto_compact(0);
+        // The oracle: the same history on a handle with no cache at all.
+        let oracle = DictHandle::new(compile(0));
+        for dict in [engine.dict(), &oracle] {
+            dict.set_auto_compact(0);
+        }
+        let apply = |delta: DictDelta| {
+            oracle.apply(delta.clone());
+            engine.dict().apply(delta);
+        };
+        let compact = || {
+            oracle.compact();
+            engine.dict().compact();
+        };
         let mut reads = 0u64;
         let mut check = |step: &str| {
             for query in &queries {
+                let want = flatten(&oracle.matcher().segment(query));
+                let served = engine.matcher().segment(query);
+                prop_assert_eq!(flatten(&served), want.clone(), "{} at {}", query, step);
                 let got = engine.resolve(query);
-                let want = engine.matcher().segment(query);
-                prop_assert_eq!(flatten(&got), flatten(&want), "{} at {}", query, step);
+                prop_assert_eq!(flatten(&got), want, "{} at {}", query, step);
                 reads += 1;
             }
             let stats = engine.cache_stats();
@@ -215,30 +237,41 @@ proptest! {
         check("base");
         let (first, second) = chain.split_at(chain.len() / 2);
         for ops in first {
-            engine.dict().apply(delta(ops, 0));
+            apply(delta(ops, 0));
             check("first half");
         }
-        engine.dict().compact();
+        compact();
         check("compaction");
         for ops in second {
-            engine.dict().apply(delta(ops, 0));
+            apply(delta(ops, 0));
             check("second half");
         }
         // Past the footprint log's reach: entries cached before the run
         // can no longer be proven unaffected.
         for j in 0..70u32 {
-            engine.dict().apply(delta(&chain[j as usize % chain.len()], j % 3));
+            apply(delta(&chain[j as usize % chain.len()], j % 3));
             check("long run");
         }
-        engine.dict().replace_base(
-            EntityMatcher::from_pairs(pairs(100)).with_fuzzy(FuzzyConfig::default()),
-        );
+        // Windows the compacted base never re-resolved still hold
+        // verdicts of the old chains; a restored clone of the original
+        // base must not be served them at its own epochs.
+        compact();
+        check("second compaction");
+        oracle.replace_base(compile(0));
+        engine.dict().replace_base(original);
+        check("rollback");
+        for ops in chain.iter().rev() {
+            apply(delta(ops, 300));
+            check("after rollback");
+        }
+        oracle.replace_base(compile(100));
+        engine.dict().replace_base(cached(100));
         check("replacement");
         for ops in &chain {
-            engine.dict().apply(delta(ops, 200));
+            apply(delta(ops, 200));
             check("new lineage");
         }
-        prop_assert_eq!(engine.swaps(), 1);
+        prop_assert_eq!(engine.swaps(), 2);
     }
 }
 
