@@ -5,12 +5,12 @@
 //! Run: `cargo bench -p websyn-bench`
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use websyn_bench::{small_pipeline, Pipeline};
+use websyn_bench::{small_pipeline, Pipeline, SEARCH_DEPTH};
 use websyn_click::session::{engine_for_world, simulate_sessions};
 use websyn_click::{ClickGraph, RandomWalk, SessionConfig};
 use websyn_core::miner::select_with;
 use websyn_core::{EntityMatcher, MinerConfig, SynonymMiner};
-use websyn_engine::SearchEngine;
+use websyn_engine::{SearchData, SearchEngine};
 use websyn_synth::{queries, QueryStreamConfig, World, WorldConfig};
 use websyn_text::{damerau_levenshtein, levenshtein, normalize};
 
@@ -65,6 +65,14 @@ fn bench_engine(c: &mut Criterion) {
         // Forces the spell-correction path.
         let misspelled = format!("{}x", canonical.replace(' ', "q "));
         b.iter(|| engine.search(black_box(&misspelled), 10))
+    });
+    let u_set: Vec<&str> = world
+        .entities
+        .iter()
+        .map(|e| e.canonical_norm.as_str())
+        .collect();
+    g.bench_function("collect_u_set", |b| {
+        b.iter(|| SearchData::collect(&engine, black_box(&u_set), SEARCH_DEPTH))
     });
     g.finish();
 }

@@ -1,16 +1,16 @@
 //! Session simulation: replaying the query stream against the engine
 //! and the click model to produce Click Data.
 //!
-//! For every query event: retrieve the SERP (cached per distinct query
-//! string), look up each result's hidden affinity to the user's intent,
-//! let the click model decide, and record the clicks. This is the
-//! "five months of Bing logs" step compressed into a deterministic
-//! simulation.
+//! For every query event: retrieve the SERP (one batch search over the
+//! distinct query strings), look up each result's hidden affinity to
+//! the user's intent, let the click model decide, and record the
+//! clicks. This is the "five months of Bing logs" step compressed into
+//! a deterministic simulation.
 
 use crate::log::{ClickLog, ClickLogBuilder};
 use crate::model::ClickModel;
 use websyn_common::{FxHashMap, PageId};
-use websyn_engine::SearchEngine;
+use websyn_engine::{SearchData, SearchEngine};
 use websyn_synth::{affinity, QueryEvent, World};
 
 /// Session simulation parameters.
@@ -67,28 +67,33 @@ pub fn simulate_sessions(
     let mut stats = SessionStats::default();
 
     let pool_size = config.serp_pool.max(config.serp_size);
-    // Retrieval pools depend only on the query string: cache per
-    // distinct text. The per-impression SERP is sampled from the pool.
-    let mut pool_cache: FxHashMap<&str, Vec<PageId>> = FxHashMap::default();
+    // Retrieval pools depend only on the query string: search each
+    // distinct text once, as one batch. The per-impression SERP is
+    // sampled from the pool.
+    let mut query_of: FxHashMap<&str, u32> = FxHashMap::default();
+    let mut texts: Vec<&str> = Vec::new();
+    for event in events {
+        query_of.entry(event.text.as_str()).or_insert_with(|| {
+            texts.push(event.text.as_str());
+            texts.len() as u32 - 1
+        });
+    }
+    let search = SearchData::collect(engine, &texts, pool_size);
+    let mut pool: Vec<PageId> = Vec::with_capacity(pool_size);
     let mut serp = Vec::with_capacity(config.serp_size);
 
     for event in events {
         stats.events += 1;
         let q = builder.add_impression(&event.text);
 
-        let pool = pool_cache.entry(event.text.as_str()).or_insert_with(|| {
-            engine
-                .search(&event.text, pool_size)
-                .into_iter()
-                .map(|h| h.page)
-                .collect()
-        });
+        pool.clear();
+        pool.extend(search.pages_for(query_of[event.text.as_str()], pool_size));
         if pool.is_empty() {
             stats.empty_serps += 1;
             continue;
         }
 
-        sample_serp(pool, config.serp_size, &mut serp, &mut rng);
+        sample_serp(&pool, config.serp_size, &mut serp, &mut rng);
 
         // Hidden relevance of each result to this user's intent.
         let relevance: Vec<f64> = serp

@@ -44,7 +44,10 @@ impl SurrogateTable {
     ///
     /// `k` may be smaller than the depth the Search Data was collected
     /// with (the rank filter of Eq. 1 tightens); it cannot exceed it —
-    /// ranks that were never retrieved cannot be conjured.
+    /// ranks that were never retrieved cannot be conjured. Each
+    /// entity's run of tuples is found by binary search
+    /// ([`SearchData::pages_for`](websyn_engine::SearchData::pages_for)),
+    /// not by a scan of the whole table.
     ///
     /// # Panics
     /// Panics if `k` exceeds the Search Data collection depth.

@@ -4,11 +4,22 @@
 //! tie-breaking (lower page id first), optional spelling correction of
 //! out-of-vocabulary query terms, and 1-based ranks as in the paper's
 //! Search Data definition ("rank 1 being the most relevant").
+//!
+//! Scores accumulate in a dense per-page `Vec<f64>` with a list of the
+//! pages a query touched; draining that list into [`TopK`] zeroes each
+//! slot it reads, so the accumulator is clean for the next query. The
+//! impact of a posting ([`Scorer::term_score`]) is computed once per
+//! term and memoized in the same scratch, which
+//! [`SearchData::collect`](crate::SearchData::collect) keeps for a
+//! whole batch: canonical strings share most of their terms. Each page
+//! still sums its terms in query order from the same impacts, and
+//! `TopK` orders by (score, page id), so the hits are the same, bit for
+//! bit, whatever the batch.
 
 use crate::index::InvertedIndex;
 use crate::score::Scorer;
 use crate::spell::SpellCorrector;
-use websyn_common::{FxHashMap, PageId, TopK};
+use websyn_common::{FxHashMap, PageId, TermId, TopK};
 
 /// One search result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,33 +96,56 @@ impl SearchEngine {
 
     /// Retrieves the top-`k` pages for `query`.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
+        self.search_with(&mut Scratch::default(), query, k)
+    }
+
+    /// [`search`](Self::search) with caller-owned scratch, so a batch
+    /// reuses one accumulator and one impact memo across its queries.
+    pub(crate) fn search_with(
+        &self,
+        scratch: &mut Scratch,
+        query: &str,
+        k: usize,
+    ) -> Vec<SearchHit> {
         let terms = self.effective_terms(query);
         if terms.is_empty() || k == 0 {
             return Vec::new();
         }
 
         // Term-at-a-time accumulation.
-        let n_docs = self.index.doc_count();
-        let avg_dl = self.index.avg_doc_len();
-        let mut acc: FxHashMap<PageId, f64> = FxHashMap::default();
+        let Scratch {
+            acc,
+            touched,
+            impacts,
+        } = scratch;
+        acc.resize(self.index.doc_count(), 0.0);
         for term in &terms {
             let Some(tid) = self.index.term_id(term) else {
                 continue;
             };
-            let df = self.index.doc_freq(tid);
-            for posting in self.index.postings(tid) {
-                let dl = self.index.doc_len(posting.page);
-                let s = self.scorer.term_score(posting.tf, df, n_docs, dl, avg_dl);
-                *acc.entry(posting.page).or_insert(0.0) += s;
+            let impacts = impacts.entry(tid).or_insert_with(|| self.impacts(tid));
+            for (posting, &s) in self.index.postings(tid).iter().zip(impacts.iter()) {
+                let slot = &mut acc[posting.page.as_usize()];
+                // A zero first impact re-pushes the page later; the
+                // drain below reads its slot once and the copy as 0.
+                if *slot == 0.0 {
+                    touched.push(posting.page);
+                }
+                *slot += s;
             }
         }
 
         let mut topk = TopK::new(k);
-        for (page, score) in acc {
-            if score > 0.0 {
+        // Once the collector is full, a push below its threshold is a
+        // no-op: skip it without the call.
+        let mut floor = 0.0;
+        for page in touched.drain(..) {
+            let score = std::mem::take(&mut acc[page.as_usize()]);
+            if score > 0.0 && score >= floor {
                 // TopK breaks score ties on the smaller key; PageId orders
                 // ascending, giving "older" pages stable precedence.
                 topk.push(score, page);
+                floor = topk.threshold().unwrap_or(0.0);
             }
         }
         topk.into_sorted_vec()
@@ -124,6 +158,33 @@ impl SearchEngine {
             })
             .collect()
     }
+
+    /// The scorer's impact of every posting of `tid`, in postings order.
+    fn impacts(&self, tid: TermId) -> Box<[f64]> {
+        let n_docs = self.index.doc_count();
+        let avg_dl = self.index.avg_doc_len();
+        let df = self.index.doc_freq(tid);
+        self.index
+            .postings(tid)
+            .iter()
+            .map(|p| {
+                let dl = self.index.doc_len(p.page);
+                self.scorer.term_score(p.tf, df, n_docs, dl, avg_dl)
+            })
+            .collect()
+    }
+}
+
+/// Scoring state for one thread, reused across the queries of a batch.
+/// It belongs to one engine: the memo is keyed by that index's term ids.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Accumulated score per page id; every slot is 0 between queries.
+    acc: Vec<f64>,
+    /// Pages whose slot was 0 when a posting reached them.
+    touched: Vec<PageId>,
+    /// Per-term posting impacts, parallel to the postings list.
+    impacts: FxHashMap<TermId, Box<[f64]>>,
 }
 
 #[cfg(test)]
