@@ -16,7 +16,7 @@ use websyn_bench::{
     fuzzy_oracle_eval, misspelled_camera_recovery, movies_pipeline, small_pipeline,
     synth_product_dictionary,
 };
-use websyn_core::{EntityMatcher, FuzzyConfig, MinerConfig, SynonymMiner};
+use websyn_core::{matcher_telemetry, EntityMatcher, FuzzyConfig, MinerConfig, SynonymMiner};
 use websyn_text::double_middle_char;
 
 /// Queries per batch; every benchmark below walks one full batch per
@@ -42,7 +42,40 @@ fn batch(templates: &[String]) -> Vec<String> {
 /// default (`websyn_serve::cluster::load_dict`).
 const WINDOW_CACHE_CAPACITY: usize = 65_536;
 
-fn bench_matcher_modes(c: &mut Criterion) -> (u64, u64) {
+/// Counted work of the first-sight misspelled path: every window of
+/// the batch goes through full candidate generation and verification
+/// (no window cache, no batch memo), so these counts depend only on
+/// the code and the inputs, not on the machine or on timing.
+struct CountedWork {
+    /// Windows that ran full generation + verification.
+    full_resolves: u64,
+    /// Candidates that reached verification.
+    candidates: u64,
+}
+
+impl CountedWork {
+    fn candidates_per_resolve(&self) -> f64 {
+        self.candidates as f64 / self.full_resolves.max(1) as f64
+    }
+}
+
+/// Segments `queries` once with `matcher` and reads the matcher's
+/// counters around the pass. The counters are process-global, so the
+/// pass runs on this thread while nothing else in the process
+/// resolves windows.
+fn count_work(matcher: &EntityMatcher, queries: &[String]) -> CountedWork {
+    let before = matcher_telemetry();
+    for q in queries {
+        black_box(matcher.segment(black_box(q)));
+    }
+    let after = matcher_telemetry();
+    CountedWork {
+        full_resolves: after.ladder_full_resolves - before.ladder_full_resolves,
+        candidates: after.candidates_proposed - before.candidates_proposed,
+    }
+}
+
+fn bench_matcher_modes(c: &mut Criterion) -> ((u64, u64), CountedWork) {
     let p = small_pipeline(40, 30_000, 13);
     let result = SynonymMiner::new(MinerConfig::with_thresholds(3, 0.1)).mine(&p.ctx);
     let exact = EntityMatcher::from_mining(&result, &p.ctx);
@@ -65,6 +98,8 @@ fn bench_matcher_modes(c: &mut Criterion) -> (u64, u64) {
             .map(|s| double_middle_char(s))
             .collect::<Vec<String>>(),
     );
+
+    let counted = count_work(&fuzzy_nocache, &misspelled);
 
     let mut g = c.benchmark_group("matcher");
     g.bench_function("exact_segment_clean", |b| {
@@ -109,7 +144,7 @@ fn bench_matcher_modes(c: &mut Criterion) -> (u64, u64) {
     }
     g.finish();
     let stats = fuzzy.window_cache().expect("cache attached").stats();
-    (stats.hits, stats.misses)
+    ((stats.hits, stats.misses), counted)
 }
 
 /// Dictionary sizes of the exact-segmentation sweep. Keep in sync with
@@ -178,7 +213,12 @@ fn measure_recall() -> RecallReport {
 }
 
 /// Serializes the recorded results as the committed perf artifact.
-fn json_report(c: &Criterion, recall: &RecallReport, window: (u64, u64)) -> String {
+fn json_report(
+    c: &Criterion,
+    recall: &RecallReport,
+    window: (u64, u64),
+    counted: &CountedWork,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"bench\": \"matcher\",\n  \"mode\": \"{}\",\n  \"batch_size\": {BATCH_SIZE},\n",
@@ -187,6 +227,11 @@ fn json_report(c: &Criterion, recall: &RecallReport, window: (u64, u64)) -> Stri
     out.push_str(&format!(
         "  \"window_cache\": {{\"hits\": {}, \"misses\": {}}},\n",
         window.0, window.1,
+    ));
+    out.push_str(&format!(
+        "  \"counted_work\": {{\"misspelled_nocache_full_resolves\": {}, \"misspelled_nocache_candidates_per_resolve\": {:.4}}},\n",
+        counted.full_resolves,
+        counted.candidates_per_resolve(),
     ));
     out.push_str(&format!(
         "  \"recall\": {{\"misspelled_camera_recovered\": {}, \"misspelled_camera_total\": {}, \"ablation6_default_recall\": {:.3}, \"ablation6_abbrev_recall\": {:.3}}},\n",
@@ -214,7 +259,12 @@ fn json_report(c: &Criterion, recall: &RecallReport, window: (u64, u64)) -> Stri
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
-    let window = bench_matcher_modes(&mut c);
+    let (window, counted) = bench_matcher_modes(&mut c);
+    println!(
+        "counted work, misspelled batch without caches: {} full resolves, {:.4} candidates reaching verification per resolve",
+        counted.full_resolves,
+        counted.candidates_per_resolve(),
+    );
     bench_dictionary_sweep(&mut c);
     println!("\nmeasuring fuzzy recall (misspelled-camera + ablation-6)…");
     let recall = measure_recall();
@@ -228,7 +278,7 @@ fn main() {
     let path = std::env::var("BENCH_MATCHER_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matcher.json").to_string()
     });
-    let report = json_report(&c, &recall, window);
+    let report = json_report(&c, &recall, window, &counted);
     std::fs::write(&path, &report).expect("write BENCH_matcher.json");
     println!("\nwrote {path}");
 }

@@ -1,18 +1,19 @@
 //! Criterion micro-benchmarks for every hot component: text analysis,
 //! indexing, retrieval, session simulation, graph construction, the
-//! miner's two phases, the random walk and the query matcher.
+//! miner's two phases, the random walk, the query matcher and
+//! first-sight fuzzy resolution.
 //!
 //! Run: `cargo bench -p websyn-bench`
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use websyn_bench::{small_pipeline, Pipeline, SEARCH_DEPTH};
+use websyn_bench::{small_pipeline, synth_product_dictionary, Pipeline, SEARCH_DEPTH};
 use websyn_click::session::{engine_for_world, simulate_sessions};
 use websyn_click::{ClickGraph, RandomWalk, SessionConfig};
 use websyn_core::miner::select_with;
-use websyn_core::{EntityMatcher, MinerConfig, SynonymMiner};
+use websyn_core::{EntityMatcher, FuzzyConfig, MinerConfig, SynonymMiner};
 use websyn_engine::{SearchData, SearchEngine};
 use websyn_synth::{queries, QueryStreamConfig, World, WorldConfig};
-use websyn_text::{damerau_levenshtein, levenshtein, normalize};
+use websyn_text::{damerau_levenshtein, double_middle_char, levenshtein, normalize};
 
 fn bench_text(c: &mut Criterion) {
     let mut g = c.benchmark_group("text");
@@ -165,6 +166,30 @@ fn bench_matcher(c: &mut Criterion) {
     g.finish();
 }
 
+/// First-sight fuzzy resolution: misspelled product mentions over the
+/// serving benchmark's 120k-surface dictionary, with no window cache
+/// and no batch memo, so every window pays for candidate generation,
+/// the character-count bound and verification.
+fn bench_fuzzy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fuzzy");
+    g.sample_size(20);
+    let dictionary = synth_product_dictionary(120_000);
+    let queries: Vec<String> = dictionary
+        .iter()
+        .step_by(120_000 / 64)
+        .map(|(s, _)| format!("best price for {}", double_middle_char(s)))
+        .collect();
+    let matcher = EntityMatcher::from_pairs(dictionary).with_fuzzy(FuzzyConfig::default());
+    g.bench_function("cold_window", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(matcher.segment(black_box(q)));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_text,
@@ -172,6 +197,7 @@ criterion_group!(
     bench_sessions,
     bench_miner,
     bench_walk,
-    bench_matcher
+    bench_matcher,
+    bench_fuzzy
 );
 criterion_main!(benches);

@@ -30,6 +30,11 @@
 //! - **absolute floors (full mode only)** — committed full runs come
 //!   from a dev machine, so generous absolute floors (≥ 3× headroom)
 //!   catch catastrophic regressions without tripping on CI hardware.
+//! - **counted work (every mode)** — the candidates that reach
+//!   verification per full window resolve, counted over one pass of
+//!   the misspelled batch without caches. The count depends only on
+//!   the code and the inputs, so it gates tightly on any hardware: a
+//!   ceiling 10% above the committed measurement.
 //!
 //! Run: `cargo run --release -p websyn-bench --bin bench_check`
 //! (reads the workspace-root `BENCH_matcher.json`, or the path in the
@@ -138,6 +143,40 @@ const ABSOLUTE_FLOORS: [(&str, f64); 4] = [
     ("matcher/fuzzy_segment_misspelled", 200_000.0),
     ("matcher/fuzzy_segment_misspelled_nocache", 30_000.0),
 ];
+
+/// Candidates reaching verification per full resolve on the
+/// misspelled no-cache pass, as measured when the character-count
+/// bound landed: 0.2235 over 3,221 full resolves (without the bound
+/// the same pass verified 2.1021 per resolve).
+const CANDIDATES_PER_RESOLVE_MEASURED: f64 = 0.2235;
+
+/// The counted-work ceiling: the measurement plus 10%.
+const CANDIDATES_PER_RESOLVE_CEILING: f64 = CANDIDATES_PER_RESOLVE_MEASURED * 1.10;
+
+/// Validates the `"counted_work"` line: the pass must have resolved
+/// windows, and the candidates reaching verification per resolve must
+/// stay under [`CANDIDATES_PER_RESOLVE_CEILING`].
+fn check_counted_work(content: &str) -> Result<(), String> {
+    let at = content
+        .find("\"counted_work\":")
+        .ok_or("missing top-level key \"counted_work\"")?;
+    let line = content[at..].lines().next().unwrap_or("");
+    let resolves = number_value(line, "misspelled_nocache_full_resolves")
+        .ok_or("unreadable counted_work \"misspelled_nocache_full_resolves\"")?;
+    let per_resolve = number_value(line, "misspelled_nocache_candidates_per_resolve")
+        .ok_or("unreadable counted_work \"misspelled_nocache_candidates_per_resolve\"")?;
+    if resolves < 1.0 {
+        return Err("counted_work pass resolved no window: the gate would be vacuous".into());
+    }
+    if !(0.0..=CANDIDATES_PER_RESOLVE_CEILING).contains(&per_resolve) {
+        return Err(format!(
+            "COUNTED-WORK REGRESSION: {per_resolve} candidates reach verification per full \
+             resolve, ceiling {CANDIDATES_PER_RESOLVE_CEILING:.4} (measured \
+             {CANDIDATES_PER_RESOLVE_MEASURED} + 10%)"
+        ));
+    }
+    Ok(())
+}
 
 /// Validates the `"window_cache"` counter line: the serving-path
 /// benchmarks run with the cross-batch window cache attached, so the
@@ -266,6 +305,7 @@ fn check(content: &str) -> Result<usize, String> {
         return Err(format!("mode must be full|smoke, got {mode:?}"));
     }
     check_window_cache(content, mode)?;
+    check_counted_work(content)?;
     check_recall(content)?;
 
     // Result rows: one per line, every field present and sane.
@@ -334,7 +374,7 @@ mod tests {
             })
             .collect();
         format!(
-            "{{\n  \"bench\": \"matcher\",\n  \"mode\": \"smoke\",\n  \"batch_size\": 256,\n  \"window_cache\": {{\"hits\": 900, \"misses\": 120}},\n  \"recall\": {{\"misspelled_camera_recovered\": 18, \"misspelled_camera_total\": 18, \"ablation6_default_recall\": 0.338, \"ablation6_abbrev_recall\": 0.648}},\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"matcher\",\n  \"mode\": \"smoke\",\n  \"batch_size\": 256,\n  \"window_cache\": {{\"hits\": 900, \"misses\": 120}},\n  \"counted_work\": {{\"misspelled_nocache_full_resolves\": 3221, \"misspelled_nocache_candidates_per_resolve\": 0.2235}},\n  \"recall\": {{\"misspelled_camera_recovered\": 18, \"misspelled_camera_total\": 18, \"ablation6_default_recall\": 0.338, \"ablation6_abbrev_recall\": 0.648}},\n  \"results\": [\n{}\n  ]\n}}\n",
             rows.join("\n")
         )
     }
@@ -413,6 +453,36 @@ mod tests {
         assert!(check(&cold).is_ok());
         let cold_full = cold.replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
         assert!(check(&cold_full).unwrap_err().contains("cold"));
+    }
+
+    #[test]
+    fn counted_work_gate_holds_the_ceiling_in_every_mode() {
+        let line = "\"misspelled_nocache_candidates_per_resolve\": 0.2235";
+        // Within 10% of the measurement passes…
+        let within = valid().replace(
+            line,
+            "\"misspelled_nocache_candidates_per_resolve\": 0.2450",
+        );
+        assert!(check(&within).is_ok());
+        // …30% more work fails, in smoke mode too.
+        let more = valid().replace(
+            line,
+            "\"misspelled_nocache_candidates_per_resolve\": 0.2906",
+        );
+        assert!(check(&more)
+            .unwrap_err()
+            .contains("COUNTED-WORK REGRESSION"));
+        // An empty pass, or a missing line, fails.
+        let empty = valid().replace(
+            "\"misspelled_nocache_full_resolves\": 3221",
+            "\"misspelled_nocache_full_resolves\": 0",
+        );
+        assert!(check(&empty).unwrap_err().contains("vacuous"));
+        let missing = valid().replace(
+            "  \"counted_work\": {\"misspelled_nocache_full_resolves\": 3221, \"misspelled_nocache_candidates_per_resolve\": 0.2235},\n",
+            "",
+        );
+        assert!(check(&missing).unwrap_err().contains("counted_work"));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 use websyn_common::{EntityId, StringInterner, SurfaceId, TokenId};
-use websyn_text::token_bounds;
+use websyn_text::{token_bounds, CharBag};
 
 /// Sentinel for a query token absent from the dictionary vocabulary.
 /// Dictionary token ids are dense from 0, so `u32::MAX` is never a real
@@ -103,6 +103,10 @@ pub struct CompiledDict {
     surfaces: Vec<Arc<str>>,
     /// Char length of each surface, by surface id.
     char_lens: Vec<u32>,
+    /// Character counts of each surface, by surface id: the one copy
+    /// the fuzzy generator and verifier share for their
+    /// character-count bound ([`CharBag`]).
+    char_bags: Vec<CharBag>,
     /// Surface ids ordered by token sequence — the probe table.
     order: Vec<u32>,
     /// `[start, end)` range of `order` per first token, indexed
@@ -136,6 +140,7 @@ impl CompiledDict {
         let mut entities = Vec::with_capacity(pairs.len());
         let mut surfaces = Vec::with_capacity(pairs.len());
         let mut char_lens = Vec::with_capacity(pairs.len());
+        let mut char_bags = Vec::with_capacity(pairs.len());
         let mut max_tokens = 0;
         let mut ids: Vec<TokenId> = Vec::new();
         offsets.push(0);
@@ -147,6 +152,7 @@ impl CompiledDict {
             entities.push(*entity);
             surfaces.push(Arc::from(surface.as_str()));
             char_lens.push(surface.chars().count() as u32);
+            char_bags.push(CharBag::of(surface));
         }
         tokens.shrink_to_fit();
 
@@ -207,6 +213,7 @@ impl CompiledDict {
             entities,
             surfaces,
             char_lens,
+            char_bags,
             order,
             first_ranges,
             max_tokens,
@@ -361,6 +368,12 @@ impl CompiledDict {
     /// Char length of surface `id` as recorded at build time.
     pub fn char_len(&self, id: SurfaceId) -> usize {
         self.char_lens[id.as_usize()] as usize
+    }
+
+    /// Character counts of surface `id`, for the character-count
+    /// bound on its edit distance to a query ([`CharBag::bound`]).
+    pub(crate) fn char_bag(&self, id: SurfaceId) -> &CharBag {
+        &self.char_bags[id.as_usize()]
     }
 
     /// The token-id slice of surface `id`.

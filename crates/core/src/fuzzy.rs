@@ -4,7 +4,7 @@
 //! that were mined or declared verbatim; a query-time typo ("cannon eos
 //! 350d") falls straight through it. This module adds the approximate
 //! half of the paper's title — *fuzzy* matching of Web queries — as a
-//! classic two-stage pipeline:
+//! classic pipeline of three stages:
 //!
 //! 1. **generate** — a chain of [`CandidateSource`]s over the compiled
 //!    dictionary's surfaces proposes candidate surface ids. The default
@@ -21,8 +21,24 @@
 //!    ([`websyn_text::AbbrevIndex`]) sources widen recall to
 //!    sound-alikes and systematic abbreviations when
 //!    [`FuzzyConfig::phonetic`] / [`FuzzyConfig::abbrev`] are set.
-//! 2. **verify** — each proposal from a filtering source pays for a
-//!    real bounded edit-distance computation
+//! 2. **bound** — each proposal from a filtering source is screened by
+//!    the character-count lower bound on edit distance
+//!    ([`websyn_text::CharBag`], one 24-byte count vector per surface,
+//!    kept in [`CompiledDict`]): a surface whose bound exceeds the
+//!    window's budget cannot verify and is dropped before it is
+//!    sorted, deduplicated or loaded. The per-position generator
+//!    applies it twice: while collecting hits, against the position's
+//!    longest window (a surface holding more of some char than the
+//!    whole longest window is out of reach of every prefix of it), and
+//!    per window before the sort. The bound is exact (it never exceeds
+//!    the Levenshtein or OSA distance), so it changes which ids are
+//!    verified, never a result. Two readings stay unbounded: the
+//!    n-gram fallback gate still asks whether the earlier sources
+//!    proposed anything *before* the bound, and the segment footprint
+//!    test (`FuzzyDictionary::proposes_any`) remains a conservative
+//!    over-approximation.
+//! 3. **verify** — each surviving proposal from a filtering source pays
+//!    for a real bounded edit-distance computation
 //!    ([`websyn_text::distance`]), and only candidates within the
 //!    length-scaled budget of [`FuzzyConfig`] survive. Proposals from a
 //!    transform source (abbrev) are exact by construction and resolve
@@ -51,8 +67,39 @@ use std::sync::Arc;
 use websyn_common::{EntityId, SurfaceId};
 use websyn_text::{
     damerau_levenshtein, damerau_levenshtein_within, levenshtein, levenshtein_within, AbbrevIndex,
-    CandidateSource, NgramIndex, PhoneticIndex, PrefixHit, TokenSignatureIndex,
+    CandidateSource, CharBag, NgramIndex, PhoneticIndex, PrefixHit, TokenSignatureIndex,
 };
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch that turns the character-count bound off on
+    /// this thread, so the bound-on ≡ bound-off proptests can compare
+    /// both against one compiled dictionary.
+    static BOUND_DISABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether the character-count bound screens candidates. Always on
+/// outside this crate's unit tests.
+#[inline]
+fn bound_enabled() -> bool {
+    #[cfg(test)]
+    {
+        !BOUND_DISABLED.get()
+    }
+    #[cfg(not(test))]
+    {
+        true
+    }
+}
+
+/// Runs `f` with the character-count bound turned off on this thread.
+#[cfg(test)]
+pub(crate) fn without_bound<R>(f: impl FnOnce() -> R) -> R {
+    BOUND_DISABLED.set(true);
+    let r = f();
+    BOUND_DISABLED.set(false);
+    r
+}
 
 /// Tuning for fuzzy surface lookup.
 ///
@@ -243,7 +290,7 @@ impl SourceEntry {
         max_tokens: usize,
     ) -> Self {
         let verified = !source.needs_verification();
-        let prefix_capable = source.propose_prefix("", 0, &mut Vec::new());
+        let prefix_capable = source.propose_prefix("", 0, &mut |_| true, &mut Vec::new());
         Self {
             source,
             min_tokens,
@@ -581,7 +628,9 @@ impl FuzzyDictionary {
     /// per-position probe pass ([`CandidateSource::propose_prefix`],
     /// prepared lazily here) instead of re-probing per window —
     /// byte-identical proposals either way, pinned by the index's own
-    /// equivalence tests and the segmenter proptests.
+    /// equivalence tests and the segmenter proptests. Either way the
+    /// character-count bound drops proposals that cannot verify before
+    /// they are counted, sorted or verified (see the module docs).
     pub(crate) fn resolve_pruned_prefix(
         &self,
         normalized: &str,
@@ -603,9 +652,19 @@ impl FuzzyDictionary {
             return None;
         }
         let m = ids.len();
+        let bag = CharBag::of(normalized);
         let mut best: Option<(SurfaceId, usize)> = None;
         let mut contested = false;
+        // Whether an earlier source proposed anything *before* the
+        // bound: the fallback gate's reading, which the bound must not
+        // change.
         let mut proposed_any = false;
+        // A prefix-served source that came back empty after the bound:
+        // whether it proposed anything before the bound is unknown,
+        // since its collection pass dropped hits without knowing this
+        // window.
+        let mut unsure: Option<usize> = None;
+        let mut bounded = 0u64;
         PROPOSALS.with_borrow_mut(|proposals| {
             for (entry_idx, entry) in self.sources.iter().enumerate() {
                 if m < entry.min_tokens || m > entry.max_tokens {
@@ -616,17 +675,31 @@ impl FuzzyDictionary {
                 // empty (whether or not their proposals verified),
                 // every window token is out of vocabulary, and the
                 // budget affords one edit per token.
-                if entry.fallback
-                    && (proposed_any
-                        || budget < 2
-                        || ids.iter().any(|&t| t != crate::dict::UNKNOWN_TOKEN))
-                {
-                    continue;
+                if entry.fallback {
+                    if budget < 2 || ids.iter().any(|&t| t != crate::dict::UNKNOWN_TOKEN) {
+                        continue;
+                    }
+                    if let (false, Some(k)) = (proposed_any, unsure) {
+                        proposals.clear();
+                        self.sources[k]
+                            .source
+                            .propose(normalized, budget, proposals);
+                        proposed_any = !proposals.is_empty();
+                    }
+                    if proposed_any {
+                        continue;
+                    }
                 }
                 let verified = entry.verified;
                 if !verified && !edit_reachable {
                     continue;
                 }
+                // The character-count bound screens what a verifying
+                // source proposes; a trusted source's hits resolve at
+                // distance 0 whatever their edit distance.
+                let bound = !verified && bound_enabled();
+                let within =
+                    |s: u32| !bound || self.dict.char_bag(SurfaceId::new(s)).bound(&bag) <= budget;
                 proposals.clear();
                 let from_prefix =
                     prefix.is_some() && self.prefix_source == Some(entry_idx) && budget > 0;
@@ -634,19 +707,52 @@ impl FuzzyDictionary {
                     let ctx = prefix.as_mut().expect("checked above");
                     if !ctx.prepared {
                         // One probe pass over the position's longest
-                        // window serves every shorter window here.
-                        entry
-                            .source
-                            .propose_prefix(ctx.max_text, ctx.max_budget, ctx.hits);
+                        // window serves every shorter window here. A
+                        // surface holding more of some char than the
+                        // whole longest window cannot verify against
+                        // any prefix of it (see `CharBag::excess`).
+                        let longest = CharBag::of(ctx.max_text);
+                        let max_budget = ctx.max_budget;
+                        entry.source.propose_prefix(
+                            ctx.max_text,
+                            max_budget,
+                            &mut |s| {
+                                let keep = !bound
+                                    || self.dict.char_bag(SurfaceId::new(s)).excess(&longest)
+                                        <= max_budget;
+                                bounded += u64::from(!keep);
+                                keep
+                            },
+                            ctx.hits,
+                        );
                         ctx.prepared = true;
                     }
-                    entry
-                        .source
-                        .filter_prefix(ctx.hits, m, chars, budget, proposals);
+                    let mut window_dropped = 0u64;
+                    entry.source.filter_prefix(
+                        ctx.hits,
+                        m,
+                        chars,
+                        budget,
+                        &mut |s| {
+                            let keep = within(s);
+                            window_dropped += u64::from(!keep);
+                            keep
+                        },
+                        proposals,
+                    );
+                    bounded += window_dropped;
+                    let any = !proposals.is_empty() || window_dropped > 0;
+                    proposed_any |= any;
+                    if bound && !any {
+                        unsure = Some(entry_idx);
+                    }
                 } else {
                     entry.source.propose(normalized, budget, proposals);
+                    proposed_any |= !proposals.is_empty();
+                    let before = proposals.len();
+                    proposals.retain(|&s| within(s));
+                    bounded += (before - proposals.len()) as u64;
                 }
-                proposed_any |= !proposals.is_empty();
                 crate::telemetry::CANDIDATES_PROPOSED.add(proposals.len() as u64);
                 for &raw in proposals.iter() {
                     let sid = SurfaceId::new(raw);
@@ -701,6 +807,7 @@ impl FuzzyDictionary {
                 }
             }
         });
+        crate::telemetry::CANDIDATES_BOUNDED.add(bounded);
         if contested {
             return None;
         }
@@ -721,7 +828,10 @@ impl FuzzyDictionary {
     /// — no proposal from any source built over the changes, no
     /// vocabulary token shared, no exact hit — provably resolves the
     /// same before and after the change, because resolution only ever
-    /// sees proposed candidates.
+    /// sees proposed candidates. The character-count bound is not
+    /// applied here, and must not be: a proposal the bound rejects
+    /// still gates the n-gram fallback, so a change that only adds such
+    /// a proposal can still change how the window resolves.
     pub(crate) fn proposes_any(&self, normalized: &str, n_tokens: usize, budget: usize) -> bool {
         thread_local! {
             static PROPOSALS: std::cell::RefCell<Vec<u32>> =
@@ -760,6 +870,8 @@ pub(crate) type MergedResolution = (bool, SurfaceId, usize);
 /// - the fallback's all-out-of-vocabulary gate runs against the
 ///   *merged* vocabulary: a base token carried only by tombstoned
 ///   surfaces is dead, a token introduced by a delta surface is live;
+/// - the character-count bound drops a live proposal only after it
+///   has counted toward the fallback gate, as in the monolithic pass;
 /// - ties follow the monolithic rules — minimum distance wins, an
 ///   equal-distance tie between different entities is contested
 ///   (resolves to nothing), a same-entity tie keeps the
@@ -794,6 +906,7 @@ pub(crate) fn resolve_merged_window(
     }
     let m = base_ids.len();
     let config = &base.config;
+    let bag = CharBag::of(text);
     let verify = |dict: &CompiledDict, verified: bool, sid: SurfaceId| -> Option<usize> {
         if verified {
             return Some(0);
@@ -810,6 +923,7 @@ pub(crate) fn resolve_merged_window(
     let mut best: Option<MergedResolution> = None;
     let mut contested = false;
     let mut proposed_any = false;
+    let (mut proposed, mut bounded) = (0u64, 0u64);
     PROPOSALS.with_borrow_mut(|proposals| {
         for k in 0..base.sources.len() {
             let entry = &base.sources[k];
@@ -830,6 +944,7 @@ pub(crate) fn resolve_merged_window(
             if !verified && !edit_reachable {
                 continue;
             }
+            let bound = !verified && bound_enabled();
             // Base then overlay at the same chain position; the
             // accumulator below is order-invariant within a position
             // (explicit id/string comparisons), so this interleaving
@@ -847,9 +962,15 @@ pub(crate) fn resolve_merged_window(
                     if !overlay_side && shadowed(raw) {
                         continue;
                     }
+                    // Counted live before the bound: the fallback
+                    // gate reads what was proposed, not what verifies.
                     live_any = true;
-                    crate::telemetry::CANDIDATES_PROPOSED.incr();
                     let sid = SurfaceId::new(raw);
+                    if bound && fd.dict.char_bag(sid).bound(&bag) > budget {
+                        bounded += 1;
+                        continue;
+                    }
+                    proposed += 1;
                     let Some(d) = verify(&fd.dict, verified, sid) else {
                         continue;
                     };
@@ -874,11 +995,16 @@ pub(crate) fn resolve_merged_window(
             }
         }
     });
+    crate::telemetry::CANDIDATES_PROPOSED.add(proposed);
+    crate::telemetry::CANDIDATES_BOUNDED.add(bounded);
     if contested {
         return None;
     }
     best
 }
+
+#[cfg(test)]
+mod bound_tests;
 
 #[cfg(test)]
 mod tests {

@@ -27,8 +27,13 @@ pub(crate) static LADDER_MEMO_HITS: Counter = Counter::new();
 pub(crate) static LADDER_CACHE_HITS: Counter = Counter::new();
 /// Resolution-ladder rung 3: full candidate generation + verification.
 pub(crate) static LADDER_FULL_RESOLVES: Counter = Counter::new();
-/// Candidate surface ids emitted by the source chain, pre-verification.
+/// Candidate surface ids that reach verification: proposed by the
+/// source chain and not rejected by the character-count bound.
 pub(crate) static CANDIDATES_PROPOSED: Counter = Counter::new();
+/// Candidate occurrences the character-count bound rejected, at
+/// whichever stage dropped them (per-position collection, per-window
+/// filtering, or just before verification).
+pub(crate) static CANDIDATES_BOUNDED: Counter = Counter::new();
 /// Candidates that survived verification (trusted-source proposals and
 /// proposals whose banded edit distance landed within budget).
 pub(crate) static CANDIDATES_VERIFIED: Counter = Counter::new();
@@ -50,8 +55,12 @@ pub struct MatcherTelemetry {
     pub ladder_cache_hits: u64,
     /// Ladder rung 3: full candidate generation + verification runs.
     pub ladder_full_resolves: u64,
-    /// Candidates proposed by the source chain.
+    /// Candidates that reached verification (after the
+    /// character-count bound).
     pub candidates_proposed: u64,
+    /// Candidate occurrences the character-count bound rejected before
+    /// verification.
+    pub candidates_bounded: u64,
     /// Candidates that survived verification.
     pub candidates_verified: u64,
 }
@@ -65,6 +74,7 @@ pub fn matcher_telemetry() -> MatcherTelemetry {
         ladder_cache_hits: LADDER_CACHE_HITS.get(),
         ladder_full_resolves: LADDER_FULL_RESOLVES.get(),
         candidates_proposed: CANDIDATES_PROPOSED.get(),
+        candidates_bounded: CANDIDATES_BOUNDED.get(),
         candidates_verified: CANDIDATES_VERIFIED.get(),
     }
 }

@@ -383,6 +383,10 @@ pub fn prometheus_text(engine: &Engine) -> String {
             t.candidates_proposed,
         ),
         (
+            "websyn_matcher_candidates_bounded_total",
+            t.candidates_bounded,
+        ),
+        (
             "websyn_matcher_candidates_verified_total",
             t.candidates_verified,
         ),

@@ -80,11 +80,26 @@ pub trait CandidateSource {
     /// [`CandidateSource::propose`] per (position, window-length)
     /// pair.
     ///
+    /// `keep` is the caller's exact screen, consulted once per hit that
+    /// passes the source's own filters: a hit whose surface it rejects
+    /// is not collected. The caller guarantees that `keep` rejects only
+    /// surfaces that no prefix window can verify at its budget (the
+    /// fuzzy resolver passes the character-count bound against the
+    /// longest window, see [`crate::CharBag::excess`]), so dropping
+    /// them early changes which ids reach verification, never a
+    /// result.
+    ///
     /// Returns `true` when the source supports this form (and has
     /// appended its hits); the default returns `false` and callers
     /// fall back to per-window `propose`.
-    fn propose_prefix(&self, query: &str, max_dist: usize, out: &mut Vec<PrefixHit>) -> bool {
-        let _ = (query, max_dist, out);
+    fn propose_prefix(
+        &self,
+        query: &str,
+        max_dist: usize,
+        keep: &mut dyn FnMut(u32) -> bool,
+        out: &mut Vec<PrefixHit>,
+    ) -> bool {
+        let _ = (query, max_dist, keep, out);
         false
     }
 
@@ -92,19 +107,22 @@ pub trait CandidateSource {
     /// [`CandidateSource::propose_prefix`] scanned: the window's first
     /// `n_tokens` tokens, `query_chars` chars, at edit budget
     /// `max_dist` (≤ the collection budget). Appends to `out` exactly
-    /// the ids `propose` would have produced for that window text —
-    /// ascending and deduplicated within this call's output. The
-    /// default is for sources that never return `true` from
-    /// `propose_prefix` and must not be reached.
+    /// the ids `propose` would have produced for that window text and
+    /// `keep` accepts — ascending and deduplicated within this call's
+    /// output. `keep` is consulted per hit, after the source's own
+    /// filters and before the sort. The default is for sources that
+    /// never return `true` from `propose_prefix` and must not be
+    /// reached.
     fn filter_prefix(
         &self,
         hits: &[PrefixHit],
         n_tokens: usize,
         query_chars: usize,
         max_dist: usize,
+        keep: &mut dyn FnMut(u32) -> bool,
         out: &mut Vec<u32>,
     ) {
-        let _ = (hits, n_tokens, query_chars, max_dist, out);
+        let _ = (hits, n_tokens, query_chars, max_dist, keep, out);
         unimplemented!("filter_prefix without propose_prefix support")
     }
 }

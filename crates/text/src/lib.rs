@@ -13,6 +13,8 @@
 //!   normalized text;
 //! - [`distance`] — Levenshtein, Damerau (OSA), Jaro and Jaro–Winkler
 //!   edit distances for the fuzzy baselines;
+//! - [`char_bag`] — the character-count lower bound on edit distance,
+//!   which rejects fuzzy candidates before they are verified;
 //! - [`ngram`] — character/word n-grams and Jaccard/Dice/cosine/overlap
 //!   set similarities;
 //! - [`ngram_index`] — an inverted character n-gram signature index
@@ -36,6 +38,7 @@
 pub mod abbrev;
 mod bitpar;
 pub mod candidate;
+pub mod char_bag;
 pub mod distance;
 pub mod ngram;
 pub mod ngram_index;
@@ -48,6 +51,7 @@ pub mod typo;
 
 pub use abbrev::AbbrevKind;
 pub use candidate::{AbbrevIndex, CandidateSource, PhoneticIndex, PrefixHit};
+pub use char_bag::CharBag;
 pub use distance::{
     damerau_levenshtein, damerau_levenshtein_within, damerau_levenshtein_within_ref, jaro,
     jaro_winkler, kernel_dispatch_stats, levenshtein, levenshtein_within, levenshtein_within_ref,

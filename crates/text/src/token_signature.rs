@@ -38,6 +38,15 @@
 //!   surface containing the anchor far from where the query has it is
 //!   rejected without any distance computation.
 //!
+//! The per-position form ([`CandidateSource::propose_prefix`] and
+//! [`CandidateSource::filter_prefix`]) applies one more, caller-supplied
+//! screen after these three: a `keep` predicate over surface ids. The
+//! fuzzy resolver passes the character-count bound
+//! ([`crate::CharBag`]), which rejects most anchored hits before they
+//! are sorted, deduplicated or verified. The index itself holds no
+//! character counts; the resolver keeps the one array it shares with
+//! its verifier.
+//!
 //! The index is a *filter* in the same sense as the n-gram index:
 //! proposals must still be verified, and a window whose every token
 //! was damaged beyond the space cases above may propose nothing (the
@@ -309,8 +318,15 @@ impl CandidateSource for TokenSignatureIndex {
     /// the query's start) and the *upper* length/token-count bands of
     /// the longest prefix (shorter prefixes only tighten those caps
     /// downward; their lower bands must wait for
-    /// [`TokenSignatureIndex::filter_prefix`]).
-    fn propose_prefix(&self, query: &str, max_dist: usize, out: &mut Vec<PrefixHit>) -> bool {
+    /// [`TokenSignatureIndex::filter_prefix`]). `keep` screens each
+    /// hit that passes those bounds.
+    fn propose_prefix(
+        &self,
+        query: &str,
+        max_dist: usize,
+        keep: &mut dyn FnMut(u32) -> bool,
+        out: &mut Vec<PrefixHit>,
+    ) -> bool {
         if max_dist == 0 || self.is_empty() {
             return true;
         }
@@ -329,15 +345,16 @@ impl CandidateSource for TokenSignatureIndex {
             let k = max_dist as u32;
             let token_cap = m as u32 + k;
             let len_cap = tokens[m - 1].char_end + k;
-            let collect = |occurrences: &[Occurrence],
-                           at: u32,
-                           token_index: u32,
-                           out: &mut Vec<PrefixHit>| {
+            let mut collect = |occurrences: &[Occurrence],
+                               at: u32,
+                               token_index: u32,
+                               out: &mut Vec<PrefixHit>| {
                 for occ in occurrences {
                     let s = occ.surface as usize;
                     if occ.offset.abs_diff(at) <= k
                         && self.token_counts[s] <= token_cap
                         && self.lengths[s] <= len_cap
+                        && keep(occ.surface)
                     {
                         out.push(PrefixHit {
                             surface: occ.surface,
@@ -369,15 +386,17 @@ impl CandidateSource for TokenSignatureIndex {
 
     /// Replays [`TokenSignatureIndex::candidates_into`]'s filters for
     /// one prefix window over the pre-collected hits: same length
-    /// band, token-count band and aligned-offset screen, same
-    /// sort-and-dedup output contract — byte-identical proposals,
-    /// minus the per-window posting probes.
+    /// band, token-count band and aligned-offset screen, then `keep`,
+    /// then the same sort-and-dedup output contract — the proposals of
+    /// `propose` that `keep` accepts, minus the per-window posting
+    /// probes.
     fn filter_prefix(
         &self,
         hits: &[PrefixHit],
         n_tokens: usize,
         query_chars: usize,
         max_dist: usize,
+        keep: &mut dyn FnMut(u32) -> bool,
         out: &mut Vec<u32>,
     ) {
         if max_dist == 0 || n_tokens < 2 {
@@ -400,6 +419,7 @@ impl CandidateSource for TokenSignatureIndex {
             if self.lengths[s].abs_diff(q_len) <= k
                 && self.token_counts[s].abs_diff(t) <= k
                 && hit.surface_offset.abs_diff(hit.query_offset) <= k
+                && keep(hit.surface)
             {
                 out.push(hit.surface);
             }
@@ -596,7 +616,8 @@ mod tests {
         // The per-position contract: for every token-aligned prefix
         // window and every budget ≤ the collection budget,
         // filter_prefix over one propose_prefix pass must equal a
-        // fresh propose over the window text.
+        // fresh propose over the window text, minus the ids either
+        // `keep` screen rejects.
         let idx = TokenSignatureIndex::build([
             "canon eos 350d",
             "canon eos 400d",
@@ -616,37 +637,44 @@ mod tests {
             "zzz yyy xxx",
             "2 fast furious",
         ];
-        for query in queries {
-            for k_max in 1usize..=2 {
-                let mut hits: Vec<PrefixHit> = Vec::new();
-                assert!(idx.propose_prefix(query, k_max, &mut hits));
-                // Every token-aligned prefix of the query.
-                let token_ends: Vec<usize> = query
-                    .char_indices()
-                    .filter(|&(_, c)| c == ' ')
-                    .map(|(i, _)| i)
-                    .chain([query.len()])
-                    .collect();
-                for (t, &end) in token_ends.iter().enumerate() {
-                    let window = &query[..end];
-                    let n_tokens = t + 1;
-                    for k in 0..=k_max {
-                        let mut direct = Vec::new();
-                        idx.propose(window, k, &mut direct);
-                        let mut filtered = vec![7u32]; // prefix must survive
-                        idx.filter_prefix(
-                            &hits,
-                            n_tokens,
-                            window.chars().count(),
-                            k,
-                            &mut filtered,
-                        );
-                        assert_eq!(filtered[0], 7);
-                        assert_eq!(
-                            &filtered[1..],
-                            &direct[..],
-                            "window {window:?} k={k} k_max={k_max}"
-                        );
+        // (collection screen, per-window screen): none, then one each.
+        type Screen = fn(u32) -> bool;
+        let screens: [(Screen, Screen); 2] = [(|_| true, |_| true), (|s| s != 0, |s| s % 3 != 1)];
+        for (collect_keep, window_keep) in screens {
+            for query in queries {
+                for k_max in 1usize..=2 {
+                    let mut hits: Vec<PrefixHit> = Vec::new();
+                    assert!(idx.propose_prefix(query, k_max, &mut { collect_keep }, &mut hits));
+                    // Every token-aligned prefix of the query.
+                    let token_ends: Vec<usize> = query
+                        .char_indices()
+                        .filter(|&(_, c)| c == ' ')
+                        .map(|(i, _)| i)
+                        .chain([query.len()])
+                        .collect();
+                    for (t, &end) in token_ends.iter().enumerate() {
+                        let window = &query[..end];
+                        let n_tokens = t + 1;
+                        for k in 0..=k_max {
+                            let mut direct = Vec::new();
+                            idx.propose(window, k, &mut direct);
+                            direct.retain(|&s| collect_keep(s) && window_keep(s));
+                            let mut filtered = vec![7u32]; // prefix must survive
+                            idx.filter_prefix(
+                                &hits,
+                                n_tokens,
+                                window.chars().count(),
+                                k,
+                                &mut { window_keep },
+                                &mut filtered,
+                            );
+                            assert_eq!(filtered[0], 7);
+                            assert_eq!(
+                                &filtered[1..],
+                                &direct[..],
+                                "window {window:?} k={k} k_max={k_max}"
+                            );
+                        }
                     }
                 }
             }
