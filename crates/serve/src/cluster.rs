@@ -116,36 +116,22 @@ pub fn worker_main(args: &[String]) -> ExitCode {
     let mut engine_config = EngineConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
+        let parsed = match flag.as_str() {
+            "--dict" => it
+                .next()
+                .map(|path| dict = Some(path.clone()))
+                .ok_or_else(|| "missing value for --dict".to_string()),
+            other => match parse_tuning_flag(
+                other,
+                || it.next().cloned(),
+                &mut server,
+                &mut engine_config,
+            ) {
+                Ok(true) => Ok(()),
+                Ok(false) => Err(format!("unknown worker flag {other:?}")),
+                Err(msg) => Err(msg),
+            },
         };
-        let parsed = (|| -> Result<(), String> {
-            match flag.as_str() {
-                "--dict" => dict = Some(value("--dict")?),
-                "--workers" => server.workers = parse(&value("--workers")?)?,
-                "--queue-depth" => server.queue_depth = parse(&value("--queue-depth")?)?,
-                "--batch-max" => server.batch_max = parse(&value("--batch-max")?)?,
-                "--batch-window-us" => {
-                    server.batch_window =
-                        Duration::from_micros(parse(&value("--batch-window-us")?)?)
-                }
-                "--cache-capacity" => {
-                    engine_config.cache_capacity = parse(&value("--cache-capacity")?)?
-                }
-                "--cache-shards" => engine_config.cache_shards = parse(&value("--cache-shards")?)?,
-                "--slow-threshold-us" => {
-                    server.slow_threshold =
-                        Duration::from_micros(parse(&value("--slow-threshold-us")?)?)
-                }
-                "--slow-sample-every" => {
-                    server.slow_sample_every = parse::<u64>(&value("--slow-sample-every")?)?.max(1)
-                }
-                other => return Err(format!("unknown worker flag {other:?}")),
-            }
-            Ok(())
-        })();
         if let Err(msg) = parsed {
             eprintln!("cluster worker: {msg}");
             return ExitCode::FAILURE;
@@ -187,6 +173,56 @@ pub fn worker_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Applies one per-worker tuning flag (`--workers`, `--queue-depth`,
+/// `--cache-capacity`, `--cache-shards`, `--slow-threshold-us`,
+/// `--slow-sample-every`), taking its value from `value`. Returns
+/// `Ok(false)` when `flag` is not one of them. `websyn-serve` and the
+/// cluster worker both parse their tuning through this, and
+/// [`tuning_args`] forwards the same set; out-of-range values are
+/// clamped where they are used ([`Server::start`],
+/// [`crate::EngineBuilder::build`]).
+///
+/// # Errors
+/// A missing or non-numeric value.
+pub fn parse_tuning_flag(
+    flag: &str,
+    mut value: impl FnMut() -> Option<String>,
+    server: &mut ServerConfig,
+    engine: &mut EngineConfig,
+) -> Result<bool, String> {
+    let mut value = || value().ok_or_else(|| format!("missing value for {flag}"));
+    match flag {
+        "--workers" => server.workers = parse(&value()?)?,
+        "--queue-depth" => server.queue_depth = parse(&value()?)?,
+        "--cache-capacity" => engine.cache_capacity = parse(&value()?)?,
+        "--cache-shards" => engine.cache_shards = parse(&value()?)?,
+        "--slow-threshold-us" => server.slow_threshold = Duration::from_micros(parse(&value()?)?),
+        "--slow-sample-every" => server.slow_sample_every = parse(&value()?)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The tuning flags that reproduce `server` and `engine` in a worker
+/// process — the inverse of [`parse_tuning_flag`], forwarded through
+/// [`ClusterConfig::worker_args`].
+pub fn tuning_args(server: &ServerConfig, engine: &EngineConfig) -> Vec<String> {
+    [
+        ("--workers", server.workers.to_string()),
+        ("--queue-depth", server.queue_depth.to_string()),
+        ("--cache-capacity", engine.cache_capacity.to_string()),
+        ("--cache-shards", engine.cache_shards.to_string()),
+        (
+            "--slow-threshold-us",
+            server.slow_threshold.as_micros().to_string(),
+        ),
+        ("--slow-sample-every", server.slow_sample_every.to_string()),
+    ]
+    .into_iter()
+    .flat_map(|(flag, value)| [flag.to_string(), value])
+    .collect()
+}
+
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad number {s:?}"))
 }
@@ -202,7 +238,7 @@ pub struct ClusterConfig {
     /// dictionary).
     pub dict: Option<String>,
     /// Extra flags forwarded verbatim to each worker process
-    /// (`--workers`, `--batch-window-us`, …).
+    /// (`--workers`, `--cache-capacity`, …; see [`tuning_args`]).
     pub worker_args: Vec<String>,
     /// Executable to spawn workers from. `None` re-execs the current
     /// binary — right for the serving binaries; integration tests
@@ -677,5 +713,40 @@ mod tests {
         // rather than serve with silently-dropped configuration.
         let code = worker_main(&["--frobnicate".to_string()]);
         assert_eq!(format!("{code:?}"), format!("{:?}", ExitCode::FAILURE));
+    }
+
+    #[test]
+    fn tuning_flags_round_trip_through_the_forwarding_list() {
+        // What `websyn-serve --cluster` forwards, a worker parses back
+        // to the same configuration.
+        let server = ServerConfig::builder()
+            .workers(3)
+            .queue_depth(17)
+            .slow_threshold(Duration::from_micros(250))
+            .slow_sample_every(9)
+            .build();
+        let engine = EngineConfig {
+            cache_shards: 5,
+            cache_capacity: 99,
+        };
+        let (mut parsed_server, mut parsed_engine) =
+            (ServerConfig::default(), EngineConfig::default());
+        let mut it = tuning_args(&server, &engine).into_iter();
+        while let Some(flag) = it.next() {
+            let known =
+                parse_tuning_flag(&flag, || it.next(), &mut parsed_server, &mut parsed_engine);
+            assert_eq!(known, Ok(true), "{flag}");
+        }
+        assert_eq!((parsed_server, parsed_engine), (server, engine));
+        // Not a tuning flag; a tuning flag without a value or a number.
+        let (s, e) = (&mut parsed_server, &mut parsed_engine);
+        assert_eq!(parse_tuning_flag("--dict", || None, s, e), Ok(false));
+        assert_eq!(
+            parse_tuning_flag("--batch-window-us", || Some("0".into()), s, e),
+            Ok(false),
+            "the batch window is gone"
+        );
+        assert!(parse_tuning_flag("--workers", || None, s, e).is_err());
+        assert!(parse_tuning_flag("--workers", || Some("x".into()), s, e).is_err());
     }
 }

@@ -153,9 +153,11 @@ impl EngineBuilder {
 }
 
 /// The engine-side slice of one request's stage breakdown, filled by
-/// [`Engine::resolve_rendered_batch_timed`] (and, without the probe,
-/// by [`Engine::resolve_misses`]). On a result-cache hit only
-/// `cache_us` is nonzero — the segment and render stages never ran.
+/// [`Engine::resolve_rendered_batch_timed`] and, for the one miss a
+/// server worker resolves, by [`Engine::resolve_miss`] (whose
+/// `cache_us` is 0: the probe ran on the connection thread). On a
+/// result-cache hit only `cache_us` is nonzero — the segment and render
+/// stages never ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTiming {
     /// Dictionary log read + normalize + result-cache probe,
@@ -173,7 +175,7 @@ pub enum Probe {
     /// A result-cache hit: the rendered response, ready to write.
     Hit(Rendered),
     /// A miss: the normalized query — the key
-    /// [`Engine::resolve_misses`] resolves and caches the result under.
+    /// [`Engine::resolve_miss`] resolves and caches the result under.
     Miss(String),
 }
 
@@ -363,32 +365,21 @@ impl Engine {
     /// `cache_lookup` stage; also returns that stage's duration in
     /// microseconds. This is the server's
     /// connection-thread entry point: a hit is answered on the spot, a
-    /// miss is queued with its key for [`Engine::resolve_misses`].
+    /// miss is queued with its key for [`Engine::resolve_miss`].
     pub fn probe(&self, query: &str) -> (Probe, u64) {
         let start = Instant::now();
         self.probe_at(&self.dict.log(), query, start)
     }
 
-    /// Resolves normalized keys that [`Engine::probe`] reported as
-    /// misses, without probing the cache again: segments each against
-    /// one dictionary view (sharing one [`MatchScratch`]), renders the
-    /// response, caches it under the view's stamp, and hands `(index
-    /// into keys, rendering, stage timing)` to `emit` as soon as that
-    /// key is done — a caller can answer each read
-    /// without waiting for the rest. The timing's `cache_us` is 0: the
-    /// probe ran elsewhere.
-    pub fn resolve_misses<S: AsRef<str>>(
-        &self,
-        keys: &[S],
-        mut emit: impl FnMut(usize, Rendered, StageTiming),
-    ) {
+    /// Resolves one normalized key that [`Engine::probe`] reported as a
+    /// miss, without probing the cache again: segments it against the
+    /// published dictionary view, renders the response and caches it
+    /// under the view's stamp. The timing's `cache_us` is 0: the probe
+    /// ran elsewhere.
+    pub fn resolve_miss(&self, key: &str) -> (Rendered, StageTiming) {
         let view = self.dict.view();
         let stamp = self.stamp(view.log());
-        let mut scratch = MatchScratch::new();
-        for (i, key) in keys.iter().enumerate() {
-            let (rendered, timing) = self.resolve_at(&view, stamp, key.as_ref(), &mut scratch);
-            emit(i, rendered, timing);
-        }
+        self.resolve_at(&view, stamp, key, None)
     }
 
     fn resolve_inner<S: AsRef<str>>(
@@ -410,7 +401,7 @@ impl Engine {
                 // miss-path stage distributions.
                 let (rendered, timing) = match probe {
                     Probe::Hit(hit) => (hit, StageTiming::default()),
-                    Probe::Miss(key) => self.resolve_at(&view, stamp, &key, &mut scratch),
+                    Probe::Miss(key) => self.resolve_at(&view, stamp, &key, Some(&mut scratch)),
                 };
                 if let Some(timings) = timings.as_deref_mut() {
                     timings.push(StageTiming { cache_us, ..timing });
@@ -440,19 +431,21 @@ impl Engine {
     }
 
     /// Segments, renders and caches one normalized key with `view`'s
-    /// matcher, under `view`'s `stamp`.
+    /// matcher, under `view`'s `stamp`; a batch passes its shared memo.
     fn resolve_at(
         &self,
         view: &DictView,
         stamp: Stamp,
         key: &str,
-        scratch: &mut MatchScratch,
+        scratch: Option<&mut MatchScratch>,
     ) -> (Rendered, StageTiming) {
         let segment_start = Instant::now();
-        let spans = Arc::new(
-            view.matcher()
-                .resolve(SegmentRequest::normalized(key).scratch(scratch)),
-        );
+        let request = SegmentRequest::normalized(key);
+        let request = match scratch {
+            Some(scratch) => request.scratch(scratch),
+            None => request,
+        };
+        let spans = Arc::new(view.matcher().resolve(request));
         let segment_us = as_us(segment_start.elapsed());
         self.metrics.segment.record(segment_us);
         let render_start = Instant::now();
@@ -602,6 +595,28 @@ mod tests {
         // entry records no segmentation or render work.
         assert_eq!(timings[0].segment_us, 0);
         assert_eq!(timings[0].render_us, 0);
+    }
+
+    #[test]
+    fn a_probed_miss_resolves_once_and_then_hits() {
+        let e = small_engine();
+        let query = "Cheapest cannon EOS 350d deals";
+        let (Probe::Miss(key), _) = e.probe(query) else {
+            panic!("cold probe must miss");
+        };
+        let (rendered, timing) = e.resolve_miss(&key);
+        assert_eq!(*rendered.spans, e.matcher().segment(query));
+        assert_eq!(timing.cache_us, 0, "the probe ran elsewhere");
+        let (Probe::Hit(hit), _) = e.probe(query) else {
+            panic!("the resolved miss filled the cache");
+        };
+        assert!(Arc::ptr_eq(&hit.http, &rendered.http));
+        let stats = e.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (1, 1),
+            "resolve_miss never probes"
+        );
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   [`Engine::builder_with_dict`] (or [`Engine::builder`] from a bare
 //!   matcher).
 //! - [`Server`] — a TCP front end with pipelining, in-order responses,
-//!   result-cache hits answered on the connection thread, batched
-//!   misses resolved by a worker pool and answered one by one, bounded
-//!   queueing with explicit backpressure, and graceful shutdown. Tuned
+//!   result-cache hits answered on the connection thread, misses
+//!   resolved one at a time by a worker pool, bounded queueing with
+//!   explicit backpressure, and graceful shutdown. Tuned
 //!   with [`ServerConfig::builder`].
 //! - [`http`] — the std-only HTTP/1.1 wire format: request framing
 //!   ([`HttpProtocol`], a [`Protocol`] handing out per-connection

@@ -26,12 +26,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use websyn_core::DictHandle;
-use websyn_serve::cluster::{load_dict, run_worker_if_flagged, Cluster, ClusterConfig};
+use websyn_serve::cluster::{
+    load_dict, parse_tuning_flag, run_worker_if_flagged, tuning_args, Cluster, ClusterConfig,
+};
 use websyn_serve::{http, Engine, EngineConfig, Server, ServerConfig};
 
 const USAGE: &str = "usage: websyn-serve [--proto http] [--addr A] [--dict F.tsv] \
                      [--cluster N] [--replication N] \
-                     [--workers N] [--queue-depth N] [--batch-max N] [--batch-window-us N] \
+                     [--workers N] [--queue-depth N] \
                      [--cache-capacity N] [--cache-shards N] \
                      [--slow-threshold-us N] [--slow-sample-every N] [--smoke]";
 
@@ -78,27 +80,15 @@ fn parse_args() -> Result<Args, String> {
             },
             "--cluster" => args.cluster = parse(&value("--cluster")?)?,
             "--replication" => args.replication = parse(&value("--replication")?)?,
-            "--workers" => args.server.workers = parse(&value("--workers")?)?,
-            "--queue-depth" => args.server.queue_depth = parse(&value("--queue-depth")?)?,
-            "--batch-max" => args.server.batch_max = parse(&value("--batch-max")?)?,
-            "--batch-window-us" => {
-                args.server.batch_window =
-                    Duration::from_micros(parse(&value("--batch-window-us")?)?)
-            }
-            "--cache-capacity" => args.engine.cache_capacity = parse(&value("--cache-capacity")?)?,
-            "--cache-shards" => args.engine.cache_shards = parse(&value("--cache-shards")?)?,
-            "--slow-threshold-us" => {
-                args.server.slow_threshold =
-                    Duration::from_micros(parse(&value("--slow-threshold-us")?)?)
-            }
-            "--slow-sample-every" => {
-                args.server.slow_sample_every = parse(&value("--slow-sample-every")?)?
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+            other => {
+                if !parse_tuning_flag(other, || it.next(), &mut args.server, &mut args.engine)? {
+                    return Err(format!("unknown flag {other:?} (try --help)"));
+                }
+            }
         }
     }
     Ok(args)
@@ -162,7 +152,7 @@ fn main() -> ExitCode {
             workers: args.cluster,
             replication: args.replication,
             dict: args.dict.clone(),
-            worker_args: worker_args(&args),
+            worker_args: tuning_args(&args.server, &args.engine),
             ..ClusterConfig::default()
         };
         let cluster = match Cluster::start(args.addr.as_str(), config) {
@@ -206,29 +196,6 @@ fn engine(dict: &DictHandle, config: EngineConfig) -> Arc<Engine> {
             .config(config)
             .build(),
     )
-}
-
-/// The per-worker tuning flags of a `--cluster` run, forwarded to each
-/// worker process (`--dict` is handled by [`ClusterConfig`] itself).
-fn worker_args(args: &Args) -> Vec<String> {
-    vec![
-        "--workers".into(),
-        args.server.workers.to_string(),
-        "--queue-depth".into(),
-        args.server.queue_depth.to_string(),
-        "--batch-max".into(),
-        args.server.batch_max.to_string(),
-        "--batch-window-us".into(),
-        args.server.batch_window.as_micros().to_string(),
-        "--cache-capacity".into(),
-        args.engine.cache_capacity.to_string(),
-        "--cache-shards".into(),
-        args.engine.cache_shards.to_string(),
-        "--slow-threshold-us".into(),
-        args.server.slow_threshold.as_micros().to_string(),
-        "--slow-sample-every".into(),
-        args.server.slow_sample_every.to_string(),
-    ]
 }
 
 /// One scripted client session against a live ephemeral-port server,

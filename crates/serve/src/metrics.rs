@@ -10,8 +10,7 @@
 //! |---|---|---|
 //! | `parse` | reader | protocol-line → [`crate::Request`] decoding |
 //! | `cache_lookup` | reader | dictionary sync + normalize + result-cache probe |
-//! | `queue_wait` | queue | enqueue → first item taken by a worker (misses only) |
-//! | `batch_assembly` | queue | batch top-up window after the first take (misses only) |
+//! | `queue_wait` | queue | enqueue → taken by a worker (misses only) |
 //! | `segment` | worker | matcher segmentation (misses only) |
 //! | `render` | worker | response serialization + cache fill (misses only) |
 //! | `write` | writer | response write + flush cycles |
@@ -67,7 +66,7 @@ pub(crate) fn as_us(d: Duration) -> u64 {
 /// once the answer exists — on the connection's reader for a
 /// result-cache hit, on the worker for a miss — so it covers parse →
 /// render but not the response write (which happens after the entry is
-/// recorded). A hit's queue, assembly, segment and render stages are 0.
+/// recorded). A hit's queue, segment and render stages are 0.
 #[derive(Debug, Clone)]
 pub struct SlowEntry {
     /// The raw query, truncated to ~128 bytes on a char boundary.
@@ -76,10 +75,8 @@ pub struct SlowEntry {
     pub total_us: u64,
     /// Protocol parse time.
     pub parse_us: u64,
-    /// Enqueue → first batch item taken (0 on a hit).
+    /// Enqueue → taken by a worker (0 on a hit).
     pub queue_us: u64,
-    /// Batch top-up window after the first take (0 on a hit).
-    pub assembly_us: u64,
     /// Dictionary sync + normalize + result-cache probe.
     pub cache_us: u64,
     /// Matcher segmentation (0 on a result-cache hit).
@@ -108,11 +105,10 @@ impl SlowEntry {
         crate::http::json_escape_into(out, &self.query);
         let _ = write!(
             out,
-            "\",\"total_us\":{},\"parse_us\":{},\"queue_us\":{},\"assembly_us\":{},\"cache_us\":{},\"segment_us\":{},\"render_us\":{}}}",
+            "\",\"total_us\":{},\"parse_us\":{},\"queue_us\":{},\"cache_us\":{},\"segment_us\":{},\"render_us\":{}}}",
             self.total_us,
             self.parse_us,
             self.queue_us,
-            self.assembly_us,
             self.cache_us,
             self.segment_us,
             self.render_us,
@@ -130,10 +126,8 @@ pub struct ServeMetrics {
     started: Instant,
     /// Protocol-line → request decoding.
     pub parse: Histogram,
-    /// Enqueue → first batch item taken by a worker (misses only).
+    /// Enqueue → taken by a worker (misses only).
     pub queue_wait: Histogram,
-    /// Batch top-up window after the first take (misses only).
-    pub batch_assembly: Histogram,
     /// Dictionary sync + normalize + result-cache probe (every read).
     pub cache_lookup: Histogram,
     /// Matcher segmentation (recorded on result-cache misses only).
@@ -165,7 +159,6 @@ impl ServeMetrics {
             started: Instant::now(),
             parse: Histogram::new(),
             queue_wait: Histogram::new(),
-            batch_assembly: Histogram::new(),
             cache_lookup: Histogram::new(),
             segment: Histogram::new(),
             render: Histogram::new(),
@@ -184,11 +177,10 @@ impl ServeMetrics {
 
     /// The stage histograms with their exposition names, pipeline
     /// order.
-    pub fn stages(&self) -> [(&'static str, &Histogram); 7] {
+    pub fn stages(&self) -> [(&'static str, &Histogram); 6] {
         [
             ("parse", &self.parse),
             ("queue_wait", &self.queue_wait),
-            ("batch_assembly", &self.batch_assembly),
             ("cache_lookup", &self.cache_lookup),
             ("segment", &self.segment),
             ("render", &self.render),
@@ -474,7 +466,6 @@ mod tests {
             total_us: 12_000,
             parse_us: 5,
             queue_us: 40,
-            assembly_us: 100,
             cache_us: 9,
             segment_us: 11_000,
             render_us: 30,
@@ -501,7 +492,6 @@ mod tests {
             [
                 "parse",
                 "queue_wait",
-                "batch_assembly",
                 "cache_lookup",
                 "segment",
                 "render",
@@ -509,7 +499,7 @@ mod tests {
             ]
         );
         assert_eq!(m.stages()[0].1.snapshot().count(), 1);
-        assert_eq!(m.stages()[6].1.snapshot().sum, 9);
+        assert_eq!(m.stages()[5].1.snapshot().sum, 9);
         // Slow config round-trips through the atomics.
         m.set_slow_config(Duration::from_millis(2), 0);
         assert_eq!(m.slow_threshold_us(), 2000);

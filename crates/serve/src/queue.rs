@@ -1,22 +1,18 @@
-//! A bounded MPMC request queue with batched, time-windowed pops.
+//! A bounded MPMC request queue with blocking pops.
 //!
 //! The serving front end must never buffer unboundedly: when traffic
 //! outruns the worker pool the queue fills and [`BoundedQueue::push`]
 //! fails fast with [`PushError::Full`], which the connection layer
-//! turns into an explicit `ERR busy` response — backpressure the
-//! client can see, instead of latency quietly diverging.
+//! turns into an explicit `503 {"error":"busy"}` response —
+//! backpressure the client can see, instead of latency quietly
+//! diverging.
 //!
-//! Consumers pop *batches*: [`BoundedQueue::pop_batch`] blocks for the
-//! first item, then keeps collecting until it has `max` items or
-//! `window` has elapsed. That is the batch aggregator of the serving
-//! stack — under load a worker wakes up to a full batch and hands it to
-//! the matcher in one [`websyn_core::EntityMatcher`] pass (sharing one
-//! window memo), while a lone request at 3 a.m. waits at most `window`
-//! before it is served.
+//! Consumers take one item at a time: [`BoundedQueue::pop`] blocks on
+//! the queue's condition variable until an item is available and
+//! returns it at once. Nothing waits for more items to arrive.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a push was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,23 +61,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Maximum number of queued items. (The queue is crate-internal;
-    /// the introspection accessors exist for tests and diagnostics.)
-    #[allow(dead_code)]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current queue depth.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues `item` without blocking. Fails with
@@ -102,75 +85,21 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Pops a batch into `out` (cleared first): blocks until at least
-    /// one item is available, then keeps collecting until `out` holds
-    /// `max` items or `window` has elapsed since the first item was
-    /// taken. Returns `false` — with `out` empty — only when the queue
-    /// is closed and fully drained, which is the worker's signal to
-    /// exit. (The server's workers use [`BoundedQueue::pop_batch_timed`];
-    /// this untimed form is the API the tests and simple consumers use.)
-    #[allow(dead_code)]
-    pub fn pop_batch(&self, max: usize, window: Duration, out: &mut Vec<T>) -> bool {
-        self.pop_batch_timed(max, window, out).is_some()
-    }
-
-    /// [`BoundedQueue::pop_batch`], additionally reporting *when* the
-    /// first item was taken — the boundary between a request's
-    /// queue-wait stage (enqueue → first take) and the batch-assembly
-    /// stage (first take → return). `None` means closed-and-drained.
-    pub fn pop_batch_timed(
-        &self,
-        max: usize,
-        window: Duration,
-        out: &mut Vec<T>,
-    ) -> Option<Instant> {
-        let max = max.max(1);
-        out.clear();
+    /// Takes the oldest item, blocking until one is available. Returns
+    /// `None` only when the queue is closed and drained, which is the
+    /// worker's signal to exit; items pushed before the close are
+    /// still returned.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue poisoned");
-        // Phase 1: block for the first item (or closure).
         loop {
-            if !state.items.is_empty() {
-                break;
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
             if state.closed {
                 return None;
             }
             state = self.available.wait(state).expect("queue poisoned");
         }
-        let first_taken = Instant::now();
-        while out.len() < max {
-            match state.items.pop_front() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        // Phase 2: top the batch up until `max` or the window closes.
-        // Closure short-circuits — drain what exists and return.
-        let deadline = Instant::now() + window;
-        while out.len() < max && !state.closed {
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            let (next, timeout) = self
-                .available
-                .wait_timeout(state, remaining)
-                .expect("queue poisoned");
-            state = next;
-            while out.len() < max {
-                match state.items.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        Some(first_taken)
     }
 
     /// Closes the queue: pending items remain poppable, further pushes
@@ -179,20 +108,13 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").closed = true;
         self.available.notify_all();
     }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    #[allow(dead_code)]
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    const WINDOW: Duration = Duration::from_millis(5);
+    use std::time::{Duration, Instant};
 
     #[test]
     fn push_pop_roundtrip_in_order() {
@@ -200,9 +122,10 @@ mod tests {
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        let mut batch = Vec::new();
-        assert!(q.pop_batch(8, WINDOW, &mut batch));
-        assert_eq!(batch, vec![0, 1, 2, 3, 4]);
+        for i in 0..5 {
+            assert_eq!(q.pop(), Some(i));
+        }
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -212,102 +135,77 @@ mod tests {
         q.push(2).unwrap();
         assert_eq!(q.push(3), Err(PushError::Full));
         assert_eq!(q.len(), 2);
-        // Draining reopens capacity.
-        let mut batch = Vec::new();
-        q.pop_batch(2, WINDOW, &mut batch);
+        // Taking one item reopens capacity for exactly one.
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.push(3), Ok(()));
+        assert_eq!(q.push(4), Err(PushError::Full));
     }
 
     #[test]
-    fn batch_is_capped_at_max() {
+    fn pop_takes_one_item_and_leaves_the_rest() {
         let q = BoundedQueue::new(16);
         for i in 0..10 {
             q.push(i).unwrap();
         }
-        let mut batch = Vec::new();
-        assert!(q.pop_batch(4, WINDOW, &mut batch));
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        assert_eq!(q.len(), 6);
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.len(), 9);
     }
 
     #[test]
-    fn closed_and_drained_returns_false() {
+    fn closed_and_drained_returns_none() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
         q.push(7).unwrap();
         q.close();
         assert_eq!(q.push(8), Err(PushError::Closed));
-        let mut batch = Vec::new();
         // Pending items still drain after close...
-        assert!(q.pop_batch(4, WINDOW, &mut batch));
-        assert_eq!(batch, vec![7]);
+        assert_eq!(q.pop(), Some(7));
         // ...then the consumer is told to exit.
-        assert!(!q.pop_batch(4, WINDOW, &mut batch));
-        assert!(batch.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn window_aggregates_items_arriving_late() {
-        let q = Arc::new(BoundedQueue::new(16));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                q.push(1).unwrap();
-                std::thread::sleep(Duration::from_millis(2));
-                q.push(2).unwrap();
-            })
-        };
-        let mut batch = Vec::new();
-        // A generous window must collect both items into one batch.
-        assert!(q.pop_batch(8, Duration::from_millis(500), &mut batch));
-        producer.join().unwrap();
-        // Either both arrived in the window, or the second pop gets it;
-        // with a 500ms window the single-batch outcome is guaranteed
-        // unless the scheduler starves the producer for half a second.
-        assert_eq!(batch, vec![1, 2]);
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_on_close() {
+    fn blocked_consumer_wakes_on_push_and_on_close() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut batch = Vec::new();
-                q.pop_batch(4, WINDOW, &mut batch)
-            })
+            std::thread::spawn(move || (q.pop(), q.pop()))
         };
         std::thread::sleep(Duration::from_millis(5));
+        q.push(1).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
         q.close();
-        assert!(!consumer.join().unwrap(), "consumer saw the shutdown");
+        assert_eq!(
+            consumer.join().unwrap(),
+            (Some(1), None),
+            "the consumer took the item, then saw the shutdown"
+        );
     }
 
     #[test]
-    fn close_during_the_batch_window_still_drains_everything() {
-        // The race this pins: the consumer has taken its first item and
-        // is parked inside Phase 2's `wait_timeout` when producers push
-        // more items and then `close()` fires. Closure must not eat the
-        // late items — the consumer drains them (this batch or the
-        // next), then sees the exit signal. A worker pool stuck here
-        // would hang `ServerHandle::shutdown` forever.
-        for _ in 0..50 {
+    fn close_with_a_blocked_consumer_or_pending_items_drains_everything() {
+        // The race this pins: a consumer is blocked in `pop` (or about
+        // to be) while producers push and then `close()` fires. Closure
+        // must not eat the pending items — the consumer drains every
+        // one, then sees the exit signal at once. A worker pool stuck
+        // here would hang `ServerHandle::shutdown` forever.
+        for round in 0..50 {
             let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(16));
-            q.push(1).unwrap();
             let consumer = {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    let mut batch = Vec::new();
-                    // A 10s window: only closure can end Phase 2 early,
-                    // so a missed wakeup fails the test loudly.
-                    while q.pop_batch(8, Duration::from_secs(10), &mut batch) {
-                        got.extend(batch.iter().copied());
+                    while let Some(item) = q.pop() {
+                        got.push(item);
                     }
                     got
                 })
             };
-            // Let the consumer take item 1 and enter the window wait,
-            // then race late pushes against the close.
-            std::thread::sleep(Duration::from_millis(1));
+            // Half the rounds let the consumer block on the empty queue
+            // first; the rest race the pushes against its first pop.
+            if round % 2 == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            q.push(1).unwrap();
             q.push(2).unwrap();
             q.push(3).unwrap();
             q.close();
@@ -316,13 +214,11 @@ mod tests {
             let got = consumer.join().unwrap();
             assert!(
                 start.elapsed() < Duration::from_secs(5),
-                "consumer must exit on close, not sleep out the window"
+                "consumer must exit on close"
             );
-            assert_eq!(got, vec![1, 2, 3], "late pushes survive the close");
+            assert_eq!(got, vec![1, 2, 3], "pending items survive the close");
             // Post-close pops report the shutdown immediately.
-            let mut batch = Vec::new();
-            assert!(!q.pop_batch(8, Duration::from_secs(10), &mut batch));
-            assert!(batch.is_empty());
+            assert_eq!(q.pop(), None);
         }
     }
 
@@ -352,9 +248,8 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    let mut batch = Vec::new();
-                    while q.pop_batch(32, Duration::from_millis(1), &mut batch) {
-                        got.extend(batch.iter().copied());
+                    while let Some(item) = q.pop() {
+                        got.push(item);
                     }
                     got
                 })

@@ -1,5 +1,5 @@
 //! The TCP front end: accept loop, pipelined connections, result-cache
-//! probe, batch aggregation of misses, worker pool, graceful shutdown.
+//! probe, a worker pool for the misses, graceful shutdown.
 //!
 //! [`Server::start`] serves HTTP/1.1 ([`HttpProtocol`]). The connection
 //! layer owns byte-level line accumulation, size caps and timeouts; the
@@ -15,22 +15,19 @@
 //!   parser, and probes the result cache for every query
 //!   right after parse ([`Engine::probe`]). A **hit** is answered on the
 //!   spot: its pre-rendered payload goes straight to the writer, with
-//!   no queue and no batch window. Only a **miss** becomes a job in the
-//!   shared [`BoundedQueue`], carrying its normalized key. Clients may
+//!   no queue. Only a **miss** becomes a job in the shared
+//!   [`BoundedQueue`], carrying its normalized key. Clients may
 //!   pipeline arbitrarily many requests without waiting. The writer
 //!   re-sequences responses (hits overtake queued misses, and workers
 //!   finish misses out of order relative to other connections' jobs)
 //!   and writes them back in request order;
-//! - a **worker pool** drains the queue in time/count-windowed batches
-//!   ([`BoundedQueue::pop_batch`]) and resolves each batch through
-//!   [`Engine::resolve_misses`], which never probes the cache again
-//!   (each read is probed and counted exactly once). Each miss is
-//!   answered the moment its own result exists, so a cold query never
-//!   waits for the rest of its batch. The workers *are* the shards:
-//!   each processes its batch sequentially on its own core with one
-//!   dictionary snapshot and one private [`websyn_core::MatchScratch`];
-//!   every result is rendered once when it fills the cache, so the next
-//!   hit writes without any formatting work;
+//! - a **worker pool** resolves the misses one job at a time: a worker
+//!   blocks on the queue until it holds a job ([`BoundedQueue::pop`]),
+//!   resolves it through [`Engine::resolve_miss`] — which never probes
+//!   the cache again, so each read is probed and counted exactly once —
+//!   replies, and loops. Nothing waits for other jobs to arrive. Every
+//!   result is rendered once when it fills the cache, so the next hit
+//!   writes without any formatting work;
 //! - **backpressure**: a miss that finds the queue full is rejected
 //!   immediately with [`Reject::Busy`] (`503`) instead of queueing
 //!   unboundedly — the client sees the overload in-band, in request
@@ -67,12 +64,6 @@ pub struct ServerConfig {
     /// Request queue capacity; pushes beyond it are rejected with a
     /// `503` (explicit backpressure, no unbounded growth).
     pub queue_depth: usize,
-    /// Maximum cache misses a worker coalesces into one matcher batch.
-    pub batch_max: usize,
-    /// How long a worker waits to top up a partial batch of misses.
-    /// Bounds the queueing latency a lone miss can see; cache hits
-    /// never wait for it.
-    pub batch_window: Duration,
     /// Socket read timeout — the shutdown-poll interval for idle
     /// connections, not a client deadline (reads simply retry).
     pub read_timeout: Duration,
@@ -104,8 +95,6 @@ impl Default for ServerConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_depth: 1024,
-            batch_max: 64,
-            batch_window: Duration::from_micros(500),
             read_timeout: Duration::from_millis(25),
             write_timeout: Duration::from_secs(5),
             max_line_bytes: 64 * 1024,
@@ -142,8 +131,7 @@ impl ServerConfig {
 /// let config = ServerConfig::builder()
 ///     .workers(4)
 ///     .queue_depth(256)
-///     .batch_max(32)
-///     .batch_window(Duration::from_micros(100))
+///     .slow_threshold(Duration::from_millis(5))
 ///     .build();
 /// assert_eq!(config.workers, 4);
 /// assert_eq!(ServerConfig::builder().workers(0).build().workers, 1);
@@ -163,19 +151,6 @@ impl ServerConfigBuilder {
     /// Request queue capacity (clamped to ≥ 1).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.config.queue_depth = depth;
-        self
-    }
-
-    /// Maximum queries per worker batch (clamped to ≥ 1).
-    pub fn batch_max(mut self, max: usize) -> Self {
-        self.config.batch_max = max;
-        self
-    }
-
-    /// How long a worker waits to top up a partial batch (zero is
-    /// valid: drain-what's-there batching).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.config.batch_window = window;
         self
     }
 
@@ -225,8 +200,6 @@ impl ServerConfigBuilder {
         ServerConfig {
             workers: c.workers.max(1),
             queue_depth: c.queue_depth.max(1),
-            batch_max: c.batch_max.max(1),
-            batch_window: c.batch_window,
             read_timeout: c.read_timeout.max(Duration::from_millis(1)),
             write_timeout: c.write_timeout.max(Duration::from_millis(1)),
             max_line_bytes: c.max_line_bytes.max(1),
@@ -291,7 +264,7 @@ impl Server {
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let engine = Arc::clone(&engine);
-                std::thread::spawn(move || worker_loop(&engine, &queue, config))
+                std::thread::spawn(move || worker_loop(&engine, &queue))
             })
             .collect();
 
@@ -438,54 +411,32 @@ fn accept_loop(
     }
 }
 
-/// One worker: drain windowed batches of misses, resolve them, and
-/// reply to each job as soon as its own result exists.
-fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>, config: ServerConfig) {
+/// One worker: take one queued miss, resolve it, reply, and loop until
+/// the queue is closed and drained.
+fn worker_loop(engine: &Engine, queue: &BoundedQueue<Job>) {
     let m = engine.metrics();
-    let mut batch: Vec<Job> = Vec::with_capacity(config.batch_max);
-    while let Some(first_taken) =
-        queue.pop_batch_timed(config.batch_max, config.batch_window, &mut batch)
-    {
-        // Queue wait is per-job (enqueue → first take); assembly is the
-        // span the job actually spent in the batch-collection window
-        // (first take → handover, clipped to the job's own arrival for
-        // items that joined mid-window). Clipping keeps each request's
-        // stage spans disjoint, so summed stage time can never exceed
-        // summed end-to-end latency.
-        let assembled = Instant::now();
-        for job in &batch {
-            m.queue_wait.record(as_us(
-                first_taken.saturating_duration_since(job.enqueued_at),
-            ));
-            let joined = job.enqueued_at.max(first_taken);
-            m.batch_assembly
-                .record(as_us(assembled.saturating_duration_since(joined)));
+    while let Some(job) = queue.pop() {
+        let queue_us = as_us(job.enqueued_at.elapsed());
+        m.queue_wait.record(queue_us);
+        let (rendered, stage) = engine.resolve_miss(&job.key);
+        // The slow gate runs before the reply send so `total_us` has a
+        // fixed meaning (receipt → resolved, write excluded) regardless
+        // of how fast the client drains its socket.
+        let total_us = as_us(job.received_at.elapsed());
+        if m.should_trace(total_us) {
+            m.slow.push(SlowEntry {
+                query: metrics::truncate_query(&job.query, 128),
+                total_us,
+                parse_us: job.parse_us,
+                queue_us,
+                cache_us: job.cache_us,
+                segment_us: stage.segment_us,
+                render_us: stage.render_us,
+            });
         }
-        let keys: Vec<&str> = batch.iter().map(|job| job.key.as_str()).collect();
-        engine.resolve_misses(&keys, |i, rendered, stage| {
-            let job = &batch[i];
-            // The slow gate runs before the reply send so `total_us`
-            // has a fixed meaning (receipt → resolved, write excluded)
-            // regardless of how fast the client drains its socket.
-            let total_us = as_us(job.received_at.elapsed());
-            if m.should_trace(total_us) {
-                m.slow.push(SlowEntry {
-                    query: metrics::truncate_query(&job.query, 128),
-                    total_us,
-                    parse_us: job.parse_us,
-                    queue_us: as_us(first_taken.saturating_duration_since(job.enqueued_at)),
-                    assembly_us: as_us(
-                        assembled.saturating_duration_since(job.enqueued_at.max(first_taken)),
-                    ),
-                    cache_us: job.cache_us,
-                    segment_us: stage.segment_us,
-                    render_us: stage.render_us,
-                });
-            }
-            // A send error means the connection died mid-flight; the
-            // result is simply dropped.
-            let _ = job.reply.send((job.seq, rendered.http, job.close));
-        });
+        // A send error means the connection died mid-flight; the result
+        // is simply dropped.
+        let _ = job.reply.send((job.seq, rendered.http, job.close));
     }
 }
 
@@ -569,7 +520,7 @@ fn reader_loop(
             Request::Query { query, close } => match engine.probe(&query) {
                 // A hit is answered here, on the connection thread, in
                 // request order through the same sequenced channel: no
-                // queue, no batch window.
+                // queue.
                 (Probe::Hit(rendered), cache_us) => {
                     let total_us = as_us(received_at.elapsed());
                     if m.should_trace(total_us) {
@@ -578,7 +529,6 @@ fn reader_loop(
                             total_us,
                             parse_us,
                             queue_us: 0,
-                            assembly_us: 0,
                             cache_us,
                             segment_us: 0,
                             render_us: 0,

@@ -4,11 +4,13 @@
 //! direct segmentation (across a live dictionary delta), and every read
 //! is counted exactly once in `hits`/`misses`.
 
+mod common;
+
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use websyn_common::EntityId;
 use websyn_core::{EntityMatcher, FuzzyConfig};
 use websyn_serve::http::{percent_encode, read_response, spans_json};
@@ -75,46 +77,50 @@ impl Client {
 }
 
 #[test]
-fn hits_are_answered_without_waiting_for_the_miss_batch() {
-    // One worker that holds every batch open for two seconds: a miss
-    // waits out the window, a hit must not.
-    let config = ServerConfig::builder()
-        .workers(1)
-        .batch_window(Duration::from_secs(2))
-        .build();
-    let (engine, server) = start(config);
+fn hits_are_answered_while_the_worker_is_busy_with_misses() {
+    // One worker, kept busy for at least half a second by a pipeline of
+    // expensive misses on A: a miss waits its turn, a hit must not.
+    let (engine, server) = start(ServerConfig::builder().workers(1).build());
     let m = engine.matcher();
     let warm = "Indy 4 tonight";
     engine.resolve(warm);
-    let cold = "cheapest cannon eos 350d deals";
+    let load = common::busy_queries(&m, Duration::from_millis(500));
 
     let mut a = Client::connect(&server);
-    a.send(&Client::query(cold));
-    let (a_tx, a_rx) = mpsc::channel();
-    let a_reader = std::thread::spawn(move || {
-        let body = a.recv();
-        a_tx.send(Instant::now()).unwrap();
-        body
-    });
-    // Wait until A's read has been probed (the warm-up was the first
-    // miss) and queued into the worker's two-second window.
-    while engine.cache_stats().misses < 2 {
-        std::thread::yield_now();
+    a.send(&load.iter().map(|q| Client::query(q)).collect::<String>());
+    let a_answered = Arc::new(AtomicUsize::new(0));
+    let a_reader = {
+        let (n, a_answered) = (load.len(), Arc::clone(&a_answered));
+        std::thread::spawn(move || {
+            (0..n)
+                .map(|_| {
+                    let body = a.recv();
+                    a_answered.fetch_add(1, Ordering::SeqCst);
+                    body
+                })
+                .collect::<Vec<String>>()
+        })
+    };
+    // Wait until every read on A has been probed (the warm-up was the
+    // first miss) and queued for the one worker.
+    while engine.cache_stats().misses < 1 + load.len() as u64 {
+        std::thread::sleep(Duration::from_millis(1));
     }
     let mut b = Client::connect(&server);
     b.send(&Client::query(warm));
     assert_eq!(b.recv(), spans_json(&m.segment(warm)));
-    let b_answered = Instant::now();
+    // Had B's hit queued behind A's misses, at most A's last one could
+    // still be in flight here.
+    let pending = load.len() - a_answered.load(Ordering::SeqCst);
     assert!(
-        a_rx.try_recv().is_err(),
-        "the cold read on A is still in its batch window"
+        pending >= 2,
+        "the hit on B waited behind A's misses: only {pending} of {} still pending",
+        load.len()
     );
-    let a_answered = a_rx.recv().expect("A answered");
-    assert!(
-        b_answered < a_answered,
-        "the hit on B overtook the miss on A"
-    );
-    assert_eq!(a_reader.join().unwrap(), spans_json(&m.segment(cold)));
+    let bodies = a_reader.join().unwrap();
+    for (q, body) in load.iter().zip(&bodies) {
+        assert_eq!(*body, spans_json(&m.segment(q)));
+    }
     server.shutdown();
 }
 

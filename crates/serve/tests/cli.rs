@@ -34,3 +34,20 @@ fn unknown_flags_still_fail() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("try --help"));
 }
+
+#[test]
+fn removed_batch_flags_fail_before_help() {
+    // The batch window and batch size are gone; a script still passing
+    // them must hear about it instead of having them silently ignored.
+    for flag in ["--batch-window-us", "--batch-max"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_websyn-serve"))
+            .args([flag, "0", "--help"])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{flag}: {:?}", out.status);
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("try --help"),
+            "{flag}"
+        );
+    }
+}

@@ -370,19 +370,11 @@ fn fleet_hit_rate_proves_partitioned_cache_aggregation() {
                 dict: Some(dict.to_string_lossy().into_owned()),
                 // One cache shard: each worker's capacity is one exact
                 // LRU, so the bound measures partitioning alone.
-                worker_args: [
-                    "--workers",
-                    "2",
-                    "--batch-window-us",
-                    "0",
-                    "--cache-shards",
-                    "1",
-                    "--cache-capacity",
-                ]
-                .iter()
-                .map(|a| a.to_string())
-                .chain([CAPACITY.to_string()])
-                .collect(),
+                worker_args: ["--workers", "2", "--cache-shards", "1", "--cache-capacity"]
+                    .iter()
+                    .map(|a| a.to_string())
+                    .chain([CAPACITY.to_string()])
+                    .collect(),
                 worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_websyn-cluster"))),
                 probe_interval: Duration::from_millis(25),
                 ..ClusterConfig::default()

@@ -6,6 +6,8 @@
 //! proptest that the pre-rendered JSON describes exactly the spans of
 //! direct segmentation.
 
+mod common;
+
 use proptest::prelude::*;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -274,24 +276,24 @@ fn connection_close_and_http10_close_the_socket() {
 
 #[test]
 fn full_queue_rejects_with_503_busy() {
-    // One worker with a long batch window and a tiny queue: flooding
-    // the server faster than the window drains must trip 503s.
-    let (_engine, server) = start(
-        ServerConfig::builder()
-            .workers(1)
-            .queue_depth(2)
-            .batch_max(2)
-            .batch_window(Duration::from_millis(200))
-            .build(),
-    );
+    // One worker and a tiny queue: a pipeline of expensive misses keeps
+    // the worker busy for at least half a second, so a flood right
+    // behind them must overflow the queue and trip 503s.
+    let (engine, server) = start(ServerConfig::builder().workers(1).queue_depth(2).build());
+    let load = common::busy_queries(&engine.matcher(), Duration::from_millis(500));
     let mut client = Client::connect(&server);
     let n = 64;
+    let mut burst: String = load
+        .iter()
+        .map(|q| format!("GET /match?q={} HTTP/1.1\r\n\r\n", percent_encode(q)))
+        .collect();
     for i in 0..n {
-        client.send(&format!("GET /match?q=indy+4+burst+{i} HTTP/1.1\r\n\r\n"));
+        burst.push_str(&format!("GET /match?q=indy+4+burst+{i} HTTP/1.1\r\n\r\n"));
     }
+    client.send(&burst);
     let mut ok = 0;
     let mut busy = 0;
-    for _ in 0..n {
+    for _ in 0..load.len() + n {
         let (status, body) = client.recv();
         match status {
             200 => ok += 1,
@@ -302,8 +304,11 @@ fn full_queue_rejects_with_503_busy() {
             other => panic!("unexpected status {other}: {body}"),
         }
     }
-    assert_eq!(ok + busy, n);
-    assert!(busy > 0, "64 pipelined requests against depth 2 must shed");
+    assert_eq!(ok + busy, load.len() + n);
+    assert!(
+        busy > 0,
+        "a flood against depth 2 behind a busy worker must shed"
+    );
     assert!(ok > 0, "accepted requests still complete");
     server.shutdown();
 }

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use websyn_common::{EntityId, SeedSequence, Zipf};
 use websyn_core::{EntityMatcher, FuzzyConfig};
 use websyn_serve::http::{percent_encode, read_response, spans_json};
@@ -212,11 +212,7 @@ fn zipf_replay_over_pipelined_keep_alive_http_holds_the_serving_gates() {
     let server = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
-        ServerConfig::builder()
-            .workers(2)
-            .batch_max(32)
-            .batch_window(Duration::from_micros(100))
-            .build(),
+        ServerConfig::builder().workers(2).build(),
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
