@@ -188,9 +188,8 @@ fn main() {
     }
 
     // ----- 6. fuzzy candidate sources vs the synth oracle -------------
-    // The matcher's optional candidate sources
-    // (`FuzzyConfig::{phonetic, abbrev}`) widen approximate lookup
-    // beyond the n-gram index. Here they are scored against the alias
+    // The matcher's optional abbreviation source (`FuzzyConfig::abbrev`)
+    // widens approximate lookup beyond the n-gram index. Here they are scored against the alias
     // ground truth: the eval set is every oracle synonym the mined
     // dictionary does NOT contain verbatim (so the exact path cannot
     // answer), plus one deterministic misspelling of every canonical
@@ -219,15 +218,9 @@ fn main() {
         "correct",
         "wrong",
     ]);
-    let configs = [
-        ("token-sig + ngram (default)", false, false),
-        ("+ phonetic", true, false),
-        ("+ abbrev", false, true),
-        ("+ phonetic + abbrev", true, true),
-    ];
-    for (label, phonetic, abbrev) in configs {
+    let configs = [("token-sig + ngram (default)", false), ("+ abbrev", true)];
+    for (label, abbrev) in configs {
         let matcher = exact.clone().with_fuzzy(FuzzyConfig {
-            phonetic,
             abbrev,
             ..FuzzyConfig::default()
         });

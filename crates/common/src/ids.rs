@@ -7,7 +7,6 @@
 //! cache-friendly (see the type-size guidance in the workspace coding
 //! guides).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Defines a `u32`-backed identifier newtype with the standard
@@ -17,9 +16,8 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $tag:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
-        #[serde(transparent)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -162,19 +160,5 @@ mod tests {
     #[should_panic(expected = "id overflow")]
     fn from_usize_overflow_panics() {
         let _ = QueryId::from_usize(u32::MAX as usize + 1);
-    }
-
-    #[test]
-    fn serde_roundtrip_is_transparent() {
-        // serde_json is not a dependency; use the serde-compatible
-        // in-house debug assertion instead: transparent means the id
-        // serializes exactly like its inner u32. We verify via bincode-like
-        // manual check using serde's data model through serde_test-style
-        // token comparison is overkill; a compile-time guarantee suffices:
-        fn assert_impls<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_impls::<QueryId>();
-        assert_impls::<PageId>();
-        assert_impls::<EntityId>();
-        assert_impls::<TermId>();
     }
 }

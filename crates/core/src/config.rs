@@ -1,14 +1,13 @@
 //! Miner configuration.
 
 use crate::surrogate::SurrogateSource;
-use serde::{Deserialize, Serialize};
 use websyn_common::{Error, Result};
 
 /// Parameters of the synonym miner.
 ///
 /// Defaults are the paper's final operating point: "our solution Us
 /// (thresholds IPC 4, ICR 0.1)" with top-10 search surrogates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinerConfig {
     /// Surrogate depth `k`: how many top search results of `u` count as
     /// surrogates (Eq. 1).

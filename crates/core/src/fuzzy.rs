@@ -16,11 +16,9 @@
 //!    while single-token windows probe the char n-gram signature index
 //!    ([`websyn_text::NgramIndex`]: length + count filters), whose
 //!    character granularity is the recall backstop when the lone token
-//!    itself is damaged. The optional phonetic
-//!    ([`websyn_text::PhoneticIndex`]) and abbreviation
-//!    ([`websyn_text::AbbrevIndex`]) sources widen recall to
-//!    sound-alikes and systematic abbreviations when
-//!    [`FuzzyConfig::phonetic`] / [`FuzzyConfig::abbrev`] are set.
+//!    itself is damaged. The optional abbreviation source
+//!    ([`websyn_text::AbbrevIndex`]) widens recall to systematic
+//!    abbreviations when [`FuzzyConfig::abbrev`] is set.
 //! 2. **bound** — each proposal from a filtering source is screened by
 //!    the character-count lower bound on edit distance
 //!    ([`websyn_text::CharBag`], one 24-byte count vector per surface,
@@ -63,11 +61,12 @@
 //! the lexicographically smallest surface, deterministically.
 
 use crate::dict::CompiledDict;
+use crate::window_cache::Verdict;
 use std::sync::Arc;
 use websyn_common::{EntityId, SurfaceId};
 use websyn_text::{
     damerau_levenshtein, damerau_levenshtein_within, levenshtein, levenshtein_within, AbbrevIndex,
-    CandidateSource, CharBag, NgramIndex, PhoneticIndex, PrefixHit, TokenSignatureIndex,
+    CandidateSource, CharBag, NgramIndex, PrefixHit, TokenSignatureIndex,
 };
 
 #[cfg(test)]
@@ -124,10 +123,6 @@ pub struct FuzzyConfig {
     /// Count an adjacent transposition ("cnaon") as one edit
     /// (Damerau/OSA) instead of two (plain Levenshtein).
     pub transpositions: bool,
-    /// Chain the per-token Soundex source after the n-gram index, so
-    /// sound-alike candidates the gram filters miss still reach
-    /// verification. Off by default.
-    pub phonetic: bool,
     /// Chain the systematic-abbreviation source: queries that *are* a
     /// mechanical variant of a surface (acronym, stopword drop, bare
     /// model tail) resolve at distance 0 without edit verification.
@@ -172,7 +167,6 @@ impl Default for FuzzyConfig {
             min_len_two_edits: 9,
             max_distance: 2,
             transpositions: true,
-            phonetic: false,
             abbrev: false,
             token_signature: true,
         }
@@ -250,6 +244,18 @@ impl FuzzyMatch {
             entity,
             distance,
             surface,
+        }
+    }
+}
+
+impl From<FuzzyMatch> for Verdict {
+    /// The window-cache verdict of a resolution: everything but the
+    /// surface id.
+    fn from(m: FuzzyMatch) -> Self {
+        Verdict {
+            surface: m.surface,
+            entity: m.entity,
+            distance: m.distance,
         }
     }
 }
@@ -340,11 +346,6 @@ pub struct FuzzyDictionary {
     /// Chain index of the (first) source supporting per-position
     /// prefix generation — the one a [`PrefixContext`] feeds.
     prefix_source: Option<usize>,
-    /// Unique id of this compiled chain, the lineage of every
-    /// window-cache stamp (see [`crate::window_cache::WindowCache`]):
-    /// two dictionaries never share one unless they are clones of the
-    /// same compilation, whose resolutions coincide by construction.
-    uid: u64,
 }
 
 /// Lazily prepared per-position generation state: the segmenter
@@ -430,13 +431,6 @@ impl FuzzyDictionary {
                 usize::MAX,
             ));
         }
-        if config.phonetic {
-            sources.push(SourceEntry::new(
-                Arc::new(PhoneticIndex::build(dict.surface_strs())),
-                1,
-                usize::MAX,
-            ));
-        }
         if config.abbrev {
             sources.push(SourceEntry::new(
                 Arc::new(AbbrevIndex::build(dict.surface_strs())),
@@ -454,7 +448,6 @@ impl FuzzyDictionary {
             all_verifying,
             unanchored_masks,
             prefix_source,
-            uid: crate::stamp::next_uid(),
         }
     }
 
@@ -508,22 +501,6 @@ impl FuzzyDictionary {
         self.sources.push(SourceEntry::new(source, 1, usize::MAX));
         self.unanchored_masks = Self::compute_unanchored_masks(&self.sources);
         self.prefix_source = self.sources.iter().position(|e| e.prefix_capable);
-        // The chain changed, so resolutions may change: no window-cache
-        // entry stamped with the old uid may be served for the new chain.
-        self.renew_uid();
-    }
-
-    /// The unique id [`crate::window_cache::WindowCache`] entries are
-    /// stamped with: fresh per compiled chain, renewed when the chain
-    /// mutates or a new dictionary lineage adopts it.
-    pub(crate) fn uid(&self) -> u64 {
-        self.uid
-    }
-
-    /// Takes a fresh uid, so window-cache entries stamped with the old
-    /// one are never served to this dictionary.
-    pub(crate) fn renew_uid(&mut self) {
-        self.uid = crate::stamp::next_uid();
     }
 
     /// Whether every chain source verifies its proposals with an edit
@@ -1135,19 +1112,18 @@ mod tests {
         let full = FuzzyDictionary::build(
             vec![("indiana jones 4".into(), EntityId::new(0))],
             FuzzyConfig {
-                phonetic: true,
                 abbrev: true,
                 ..FuzzyConfig::default()
             },
         );
         assert_eq!(
             full.source_names(),
-            vec!["token-sig", "ngram", "ngram", "phonetic", "abbrev"]
+            vec!["token-sig", "ngram", "ngram", "abbrev"]
         );
         assert!(!full.all_verifying(), "abbrev disables window pruning");
         assert!(
             full.may_resolve_unanchored(7, 2),
-            "phonetic proposes for any token count"
+            "abbrev proposes for any token count"
         );
         // Disabling the signature index restores the PR-3 chain.
         let plain = FuzzyDictionary::build(
@@ -1300,20 +1276,22 @@ mod tests {
     }
 
     #[test]
-    fn phonetic_source_keeps_verification_authoritative() {
-        // The phonetic source may propose sound-alikes, but verification
-        // still rejects anything beyond the edit budget.
+    fn transform_source_keeps_verification_authoritative() {
+        // With the abbreviation source chained, edit-distance proposals
+        // are still verified: only the source's own transform hits
+        // skip verification.
         let d = FuzzyDictionary::build(
             vec![("indiana jones".into(), EntityId::new(0))],
             FuzzyConfig {
-                phonetic: true,
+                abbrev: true,
                 ..FuzzyConfig::default()
             },
         );
-        // Same Soundex key, distance 1: resolves.
+        // A typo one edit away: proposed by the signature index,
+        // verified at distance 1.
         let m = d.resolve("indianna jones").expect("hit");
         assert_eq!(m.distance, 1);
-        // Sound-alike but 4 edits away: proposed, then rejected.
+        // Four edits away and no transform of the surface: rejected.
         assert!(d.resolve("indynni jones").is_none());
     }
 }

@@ -194,7 +194,6 @@ fn bound_on_matches_bound_off_on_random_dictionaries() {
             ..FuzzyConfig::default()
         },
         FuzzyConfig {
-            phonetic: true,
             abbrev: true,
             ..FuzzyConfig::default()
         },

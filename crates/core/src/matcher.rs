@@ -12,8 +12,8 @@
 //! ([`EntityMatcher::with_fuzzy`]) every window that misses the exact
 //! dictionary falls back to the [`crate::fuzzy`] candidate pipeline
 //! (token-run signature / char n-gram generation + bounded
-//! edit-distance verification, plus the optional phonetic/abbreviation
-//! sources), so unmined misspellings still resolve — but only after
+//! edit-distance verification, plus the optional abbreviation source),
+//! so unmined misspellings still resolve — but only after
 //! the window passes the compiled dictionary's reachability screen
 //! ([`CompiledDict::can_reach`]), which skips provably hopeless
 //! windows without any generation work.
@@ -25,17 +25,11 @@ use crate::data::MiningContext;
 use crate::dict::CompiledDict;
 use crate::fuzzy::{FuzzyConfig, FuzzyDictionary, FuzzyMatch, PrefixContext};
 use crate::miner::MiningResult;
-use crate::segment::OverlayState;
-use crate::stamp::Stamp;
-use crate::window_cache::WindowCache;
+use crate::segment::{FootprintLog, OverlayState};
+use crate::window_cache::{Resolution, Verdict, WindowCache};
 use std::sync::Arc;
 use websyn_common::{EntityId, SurfaceId};
 use websyn_text::{normalize, normalized, PrefixHit};
-
-/// Tag bit marking a memoized window resolution as overlay-owned (the
-/// surface id lives in the delta overlay's dictionary, not the base).
-/// Surface id spaces are bounded far below 2^31, so the bit is free.
-const OVERLAY_SID_BIT: u32 = 1 << 31;
 
 /// Reusable per-shard segmentation state: a window-text → fuzzy
 /// resolution memo.
@@ -43,8 +37,9 @@ const OVERLAY_SID_BIT: u32 = 1 << 31;
 /// Fuzzy window resolution is a pure function of the window text (for a
 /// fixed dictionary and config), and real batches are Zipfian — the
 /// same mentions recur across a batch. Threading one scratch through a
-/// run of [`EntityMatcher::segment_with`] calls makes every duplicate
-/// window verify once: the first miss pays for candidate generation and
+/// run of [`EntityMatcher::resolve`] calls
+/// ([`SegmentRequest::scratch`]) makes every duplicate window verify
+/// once: the first miss pays for candidate generation and
 /// edit-distance verification, every later occurrence is one hash
 /// lookup. [`EntityMatcher::match_batch`] keeps one scratch per shard
 /// thread, so memoization never crosses (or serializes) shards.
@@ -55,12 +50,13 @@ const OVERLAY_SID_BIT: u32 = 1 << 31;
 /// matcher changes.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    /// window text → fuzzy resolution (`None` = verified miss). Only
-    /// windows that miss the exact dictionary land here. Keys are raw
-    /// query windows — on a serving path that is untrusted input, so
-    /// this is std's randomly seeded SipHash map, not `FxHashMap`
-    /// (which `websyn_common::hash` forbids for untrusted input).
-    memo: std::collections::HashMap<String, Option<(SurfaceId, usize)>>,
+    /// window text → fuzzy resolution (`None` = verified miss), the
+    /// same verdicts the [`WindowCache`] holds. Only windows that miss
+    /// the exact dictionary land here. Keys are raw query windows — on
+    /// a serving path that is untrusted input, so this is std's
+    /// randomly seeded SipHash map, not `FxHashMap` (which
+    /// `websyn_common::hash` forbids for untrusted input).
+    memo: std::collections::HashMap<String, Resolution>,
 }
 
 impl MatchScratch {
@@ -93,9 +89,6 @@ pub struct MatchSpan {
     pub start: usize,
     /// One past the last matched token.
     pub end: usize,
-    /// Interned id of the dictionary surface the mention resolved to
-    /// (ids ascend lexicographically over the dictionary's surfaces).
-    pub surface_id: SurfaceId,
     /// The entity it resolves to.
     pub entity: EntityId,
     /// Edit distance between the query window and the surface
@@ -116,15 +109,14 @@ impl MatchSpan {
 }
 
 /// One segmentation request: the query text, whether it is already
-/// normalized, and an optional cross-query [`MatchScratch`] — the
-/// single entry point behind every `segment*` convenience wrapper.
+/// normalized, and an optional cross-query [`MatchScratch`] — what
+/// [`EntityMatcher::resolve`] segments.
 ///
-/// The four historical entry points (`segment`, `segment_with`,
-/// `segment_normalized`, `segment_normalized_with`) are a 2×2 grid of
-/// (raw | normalized) × (no scratch | scratch). `SegmentRequest` names
-/// those two axes explicitly, so call sites compose them instead of
-/// picking the right method name — and a future axis (say, a span
-/// limit) extends the request rather than doubling the method count.
+/// A request names its two axes, (raw | normalized) × (no scratch |
+/// scratch), so call sites compose them instead of picking one of four
+/// methods; [`EntityMatcher::segment`] is the raw, scratch-free
+/// shorthand. A future axis (say, a span limit) extends the request,
+/// not the method count.
 ///
 /// # Examples
 ///
@@ -210,6 +202,13 @@ pub struct EntityMatcher {
     /// by [`crate::segment::SegmentedDict`]; plain matchers pay one
     /// `Option` check.
     overlay: Option<Arc<OverlayState>>,
+    /// The dictionary position this matcher serves: window-cache
+    /// entries are stamped with its lineage and revision, and an older
+    /// revision's entry is promoted through its footprints. A
+    /// [`crate::SegmentedDict`] hands every serving matcher its view's
+    /// log; any other matcher gets the empty log of a lineage of its
+    /// own whenever its content is compiled.
+    log: Arc<FootprintLog>,
 }
 
 impl EntityMatcher {
@@ -244,6 +243,7 @@ impl EntityMatcher {
             fuzzy: None,
             window_cache: None,
             overlay: None,
+            log: Arc::default(),
         }
     }
 
@@ -266,9 +266,12 @@ impl EntityMatcher {
     /// chain of [`crate::fuzzy`] over the already-compiled surfaces)
     /// and returns the matcher with approximate lookup enabled. Exact
     /// surfaces still resolve first; see [`crate::fuzzy`] for the
-    /// resolution rules.
+    /// resolution rules. The matcher starts a lineage of its own, so
+    /// no window verdict cached by the matcher it was built from (or by
+    /// another config over the same surfaces) is served to it.
     pub fn with_fuzzy(mut self, config: FuzzyConfig) -> Self {
         self.fuzzy = Some(FuzzyDictionary::from_dict(Arc::clone(&self.dict), config));
+        self.log = Arc::default();
         self
     }
 
@@ -283,14 +286,17 @@ impl EntityMatcher {
         self.fuzzy.as_ref()
     }
 
-    /// Gives the fuzzy side a fresh window-cache uid
-    /// ([`FuzzyDictionary::renew_uid`]): a [`crate::segment::SegmentedDict`]
-    /// does this to its base, so its delta epochs stamp windows under a
-    /// uid no other chain uses.
-    pub(crate) fn renew_window_uid(&mut self) {
-        if let Some(fuzzy) = &mut self.fuzzy {
-            fuzzy.renew_uid();
-        }
+    /// Sets the position this matcher serves —
+    /// [`crate::segment::SegmentedDict`] only; `log` must describe this
+    /// matcher's dictionary state.
+    pub(crate) fn with_log(mut self, log: Arc<FootprintLog>) -> Self {
+        self.log = log;
+        self
+    }
+
+    /// The position this matcher serves.
+    pub(crate) fn log(&self) -> &Arc<FootprintLog> {
+        &self.log
     }
 
     /// Attaches a live delta overlay — [`crate::segment::SegmentedDict`]
@@ -321,8 +327,8 @@ impl EntityMatcher {
 
     /// Attaches an existing [`WindowCache`] — how a rebuild-and-swap
     /// deployment carries one cache across matchers (entries are
-    /// stamped with the fuzzy dictionary that resolved them, so another
-    /// dictionary's windows are invisible).
+    /// stamped with the lineage and revision of the matcher that
+    /// resolved them, so another dictionary's windows are invisible).
     pub fn with_shared_window_cache(mut self, cache: Arc<WindowCache>) -> Self {
         self.window_cache = Some(cache);
         self
@@ -471,13 +477,12 @@ impl EntityMatcher {
         let mut out = String::with_capacity(self.dict.len() * 24 + 80);
         if let Some(config) = self.fuzzy_config() {
             out.push_str(&format!(
-                "#!fuzzy\tgram_size={}\tmin_len_one_edit={}\tmin_len_two_edits={}\tmax_distance={}\ttranspositions={}\tphonetic={}\tabbrev={}\ttoken_signature={}\n",
+                "#!fuzzy\tgram_size={}\tmin_len_one_edit={}\tmin_len_two_edits={}\tmax_distance={}\ttranspositions={}\tabbrev={}\ttoken_signature={}\n",
                 config.gram_size,
                 config.min_len_one_edit,
                 config.min_len_two_edits,
                 config.max_distance,
                 config.transpositions,
-                config.phonetic,
                 config.abbrev,
                 config.token_signature,
             ));
@@ -525,7 +530,8 @@ impl EntityMatcher {
     /// # Errors
     /// Returns a codec error on malformed rows (missing tab,
     /// non-numeric id, embedded tab in surface) or a malformed fuzzy
-    /// header.
+    /// header, including one that turns on the removed phonetic source
+    /// (`phonetic=true`).
     pub fn from_tsv(tsv: &str) -> websyn_common::Result<Self> {
         let mut pairs = Vec::new();
         let mut fuzzy: Option<FuzzyConfig> = None;
@@ -591,35 +597,9 @@ impl EntityMatcher {
         self.resolve(SegmentRequest::raw(query))
     }
 
-    /// [`EntityMatcher::segment`] with a caller-provided
-    /// [`MatchScratch`], so duplicate fuzzy windows across a run of
-    /// queries verify once. The memo is a pure-function cache: for any
-    /// scratch state the output is byte-identical to
-    /// [`EntityMatcher::segment`].
-    pub fn segment_with(&self, query: &str, scratch: &mut MatchScratch) -> Vec<MatchSpan> {
-        self.resolve(SegmentRequest::raw(query).scratch(scratch))
-    }
-
-    /// Segments a query that is already in normalized form (the output
-    /// of [`websyn_text::normalize()`]) — the serving-path entry point; see
-    /// [`SegmentRequest::normalized`]. Output is byte-identical to
-    /// `segment(normalized)`.
-    pub fn segment_normalized(&self, normalized: &str) -> Vec<MatchSpan> {
-        self.resolve(SegmentRequest::normalized(normalized))
-    }
-
-    /// [`EntityMatcher::segment_normalized`] with a caller-provided
-    /// [`MatchScratch`].
-    pub fn segment_normalized_with(
-        &self,
-        normalized: &str,
-        scratch: &mut MatchScratch,
-    ) -> Vec<MatchSpan> {
-        self.resolve(SegmentRequest::normalized(normalized).scratch(scratch))
-    }
-
-    /// Segments a query described by a [`SegmentRequest`] — the unified
-    /// entry point every `segment*` wrapper above delegates to.
+    /// Segments a query described by a [`SegmentRequest`] — the one
+    /// segmentation entry point ([`EntityMatcher::segment`] is its raw,
+    /// scratch-free shorthand).
     ///
     /// For a fixed matcher the result is a pure function of the query
     /// text: normalization state and scratch attachment change only the
@@ -673,7 +653,7 @@ impl EntityMatcher {
                         let longest = self.dict.max_tokens().min(n - i);
                         match self.dict.longest_match(&ids[i..], longest) {
                             Some((window, sid)) => {
-                                spans.push(self.span(i, window, sid, 0));
+                                spans.push(verdict_in(&self.dict, sid, 0).into_span(i, window));
                                 i += window;
                             }
                             None => i += 1,
@@ -688,24 +668,18 @@ impl EntityMatcher {
                 // stopped at the exact hit anyway). Each candidate
                 // window is screened by the compiled dictionary's
                 // reachability tables before any candidate generation,
-                // and resolutions are memoized in `scratch` — duplicate
-                // windows across a batch pay for generation and
-                // verification once.
+                // and resolutions go through the memo/cache ladder of
+                // `resolve_window` — duplicate windows pay for
+                // generation and verification once.
                 Some(fuzzy) => CHAR_BOUNDS.with_borrow_mut(|char_bounds| {
                     PREFIX_HITS.with_borrow_mut(|prefix_hits| {
                         token_char_bounds(normalized, bounds, char_bounds);
                         let prune = fuzzy.all_verifying();
-                        // Window-cache entries are stamped with this
-                        // fuzzy dictionary, at delta epoch 0.
-                        let stamp = Stamp {
-                            lineage: fuzzy.uid(),
-                            revision: 0,
-                        };
                         while i < n {
                             let longest = self.dict.max_tokens().min(n - i);
                             let exact = self.dict.longest_match(&ids[i..], longest);
                             let exact_w = exact.map_or(0, |(w, _)| w);
-                            let mut hit = exact.map(|(w, sid)| (w, sid, 0));
+                            let mut fuzzy_hit = None;
                             // One candidate probe pass at this position
                             // serves every window below: prefix-capable
                             // sources collect hits over the *longest*
@@ -753,59 +727,33 @@ impl EntityMatcher {
                                 }
                                 let window_text = &normalized
                                     [bounds[i].0 as usize..bounds[i + window - 1].1 as usize];
-                                // Resolution ladder: batch-local memo
-                                // (lock-free) → shared window cache (one
-                                // shard lock) → full candidate generation
-                                // + verification. A window-cache hit is
-                                // deliberately NOT copied into the memo:
-                                // re-probing the cache costs one short
-                                // lock + hash, while the copy would pay a
-                                // String allocation per window per shard —
-                                // measurably slower on warm batches.
-                                crate::telemetry::WINDOWS_RESOLVED.incr();
-                                let resolved = 'resolved: {
-                                    if let Some(scratch) = scratch.as_deref_mut() {
-                                        if let Some(&cached) = scratch.memo.get(window_text) {
-                                            crate::telemetry::LADDER_MEMO_HITS.incr();
-                                            break 'resolved cached;
-                                        }
-                                    }
-                                    if let Some(cache) = self.window_cache.as_deref() {
-                                        // Nothing precedes epoch 0, so
-                                        // there is nothing to promote.
-                                        let probe = cache.get(window_text, stamp, |_, _| false);
-                                        if let Some(cached) = probe {
-                                            crate::telemetry::LADDER_CACHE_HITS.incr();
-                                            break 'resolved cached;
-                                        }
-                                    }
-                                    crate::telemetry::LADDER_FULL_RESOLVES.incr();
-                                    let r = fuzzy
-                                        .resolve_pruned_prefix(
-                                            window_text,
-                                            window_ids,
-                                            chars,
-                                            budget,
-                                            reach.edit_reachable,
-                                            prefix_ctx.as_mut(),
-                                        )
-                                        .map(|hit| (hit.surface_id, hit.distance));
-                                    if let Some(scratch) = scratch.as_deref_mut() {
-                                        scratch.memo.insert(window_text.to_string(), r);
-                                    }
-                                    if let Some(cache) = self.window_cache.as_deref() {
-                                        cache.insert(window_text, stamp, r);
-                                    }
-                                    r
-                                };
-                                if let Some((sid, distance)) = resolved {
-                                    hit = Some((window, sid, distance));
+                                let resolved = self.resolve_window(
+                                    window_text,
+                                    scratch.as_deref_mut(),
+                                    || {
+                                        fuzzy
+                                            .resolve_pruned_prefix(
+                                                window_text,
+                                                window_ids,
+                                                chars,
+                                                budget,
+                                                reach.edit_reachable,
+                                                prefix_ctx.as_mut(),
+                                            )
+                                            .map(Verdict::from)
+                                    },
+                                );
+                                if let Some(verdict) = resolved {
+                                    fuzzy_hit = Some((window, verdict));
                                     break;
                                 }
                             }
+                            let hit = fuzzy_hit.or_else(|| {
+                                exact.map(|(w, sid)| (w, verdict_in(&self.dict, sid, 0)))
+                            });
                             match hit {
-                                Some((window, sid, distance)) => {
-                                    spans.push(self.span(i, window, sid, distance));
+                                Some((window, verdict)) => {
+                                    spans.push(verdict.into_span(i, window));
                                     i += window;
                                 }
                                 None => i += 1,
@@ -816,6 +764,49 @@ impl EntityMatcher {
             }
             spans
         })
+    }
+
+    /// Resolves one fuzzy window through the ladder both segmentation
+    /// paths share: the caller's batch memo (lock-free), then the
+    /// shared window cache at this matcher's stamp (one shard lock),
+    /// then `full` — candidate generation and verification — whose
+    /// verdict is recorded in both. A cached verdict from an older
+    /// revision of this matcher's lineage is promoted when every
+    /// footprint committed since clears the window. A window-cache hit
+    /// is deliberately NOT copied into the memo: re-probing the cache
+    /// costs one short lock + hash, while the copy would pay a String
+    /// allocation per window per shard — measurably slower on warm
+    /// batches.
+    fn resolve_window(
+        &self,
+        window: &str,
+        scratch: Option<&mut MatchScratch>,
+        full: impl FnOnce() -> Resolution,
+    ) -> Resolution {
+        crate::telemetry::WINDOWS_RESOLVED.incr();
+        if let Some(cached) = scratch.as_deref().and_then(|s| s.memo.get(window)) {
+            crate::telemetry::LADDER_MEMO_HITS.incr();
+            return cached.clone();
+        }
+        let stamp = self.log.stamp();
+        if let Some(cache) = self.window_cache.as_deref() {
+            let probe = cache.get(window, stamp, |key, revision| {
+                self.log.window_unchanged_since(revision, key)
+            });
+            if let Some(cached) = probe {
+                crate::telemetry::LADDER_CACHE_HITS.incr();
+                return cached;
+            }
+        }
+        crate::telemetry::LADDER_FULL_RESOLVES.incr();
+        let resolved = full();
+        if let Some(scratch) = scratch {
+            scratch.memo.insert(window.to_string(), resolved.clone());
+        }
+        if let Some(cache) = self.window_cache.as_deref() {
+            cache.insert(window, stamp, resolved.clone());
+        }
+        resolved
     }
 
     /// The longest exact match at a position of the *merged* view:
@@ -856,19 +847,20 @@ impl EntityMatcher {
 
     /// [`EntityMatcher::segment_inner`] over base + delta overlay:
     /// the same greedy longest-match walk, with every probe running
-    /// both segments in lock-step so output is byte-identical (up to
-    /// segment-local surface ids) to a monolithic recompile of the
-    /// merged surface set — pinned by the `segmented_dict` proptests.
+    /// both segments in lock-step so output is byte-identical to a
+    /// monolithic recompile of the merged surface set — pinned by the
+    /// `segmented_dict` proptests.
     ///
     /// Differences from the monolithic walk, all equivalence-preserving:
     /// the window bound is the merged view's `live_max_tokens`; the
     /// reachability screen is the union of both segments' screens
     /// (pruning is results-invariant, and the union is conservative
-    /// over the merged surface set); fuzzy windows resolve through
-    /// [`crate::fuzzy::resolve_merged_window`]; and the shared window
-    /// cache stamps entries with (base uid, overlay epoch) and
-    /// *promotes* older-epoch entries across commits whose footprints
-    /// provably miss them.
+    /// over the merged surface set); and fuzzy windows resolve through
+    /// [`crate::fuzzy::resolve_merged_window`]. Windows go through the
+    /// same memo/cache ladder as the plain walk: a verdict names its
+    /// surface by string, so one won by an overlay surface is cached
+    /// like any other and outlives both later commits that miss it and
+    /// the compaction that folds the overlay in.
     /// Prefix-collected candidate probing is skipped on this path
     /// (plain per-window proposal — same results, somewhat slower;
     /// compaction restores the fast path).
@@ -889,6 +881,7 @@ impl EntityMatcher {
         SCRATCH.with_borrow_mut(|(bounds, ids)| {
             OVER_SCRATCH.with_borrow_mut(|(obounds, oids)| {
                 let odict = ov.matcher.dict();
+                let side_dict = |overlay: bool| if overlay { odict } else { &*self.dict };
                 self.dict.map_query(normalized, bounds, ids);
                 odict.map_query(normalized, obounds, oids);
                 debug_assert_eq!(bounds, obounds, "tokenization is vocabulary-independent");
@@ -904,8 +897,9 @@ impl EntityMatcher {
                             let longest = ov.live_max_tokens.min(n - i);
                             match self.merged_exact(ov, &ids[i..], &oids[i..], longest) {
                                 Some((window, side, sid)) => {
-                                    let dict = if side { odict } else { &*self.dict };
-                                    spans.push(span_in(dict, i, window, sid, 0));
+                                    spans.push(
+                                        verdict_in(side_dict(side), sid, 0).into_span(i, window),
+                                    );
                                     i += window;
                                 }
                                 None => i += 1,
@@ -917,15 +911,11 @@ impl EntityMatcher {
                 CHAR_BOUNDS.with_borrow_mut(|char_bounds| {
                     token_char_bounds(normalized, bounds, char_bounds);
                     let prune = bf.all_verifying();
-                    let stamp = Stamp {
-                        lineage: bf.uid(),
-                        revision: ov.epoch,
-                    };
                     while i < n {
                         let longest = ov.live_max_tokens.min(n - i);
                         let exact = self.merged_exact(ov, &ids[i..], &oids[i..], longest);
                         let exact_w = exact.map_or(0, |(w, _, _)| w);
-                        let mut hit = exact.map(|(w, side, sid)| (w, side, sid, 0));
+                        let mut fuzzy_hit = None;
                         for window in (exact_w + 1..=longest).rev() {
                             let window_ids = &ids[i..i + window];
                             let over_ids = &oids[i..i + window];
@@ -949,83 +939,32 @@ impl EntityMatcher {
                             }
                             let window_text = &normalized
                                 [bounds[i].0 as usize..bounds[i + window - 1].1 as usize];
-                            crate::telemetry::WINDOWS_RESOLVED.incr();
-                            let resolved = 'resolved: {
-                                if let Some(scratch) = scratch.as_deref_mut() {
-                                    if let Some(&cached) = scratch.memo.get(window_text) {
-                                        crate::telemetry::LADDER_MEMO_HITS.incr();
-                                        break 'resolved cached.map(|(sid, d)| {
-                                            let raw = sid.raw();
-                                            (
-                                                raw & OVERLAY_SID_BIT != 0,
-                                                SurfaceId::new(raw & !OVERLAY_SID_BIT),
-                                                d,
-                                            )
-                                        });
-                                    }
-                                }
-                                if let Some(cache) = self.window_cache.as_deref() {
-                                    // Older-epoch entries: a verdict
-                                    // cached `k` commits ago is still
-                                    // exact if every footprint since
-                                    // provably misses the window.
-                                    let probe =
-                                        cache.get(window_text, stamp, |key, entry_epoch| {
-                                            ov.footprints[entry_epoch as usize..]
-                                                .iter()
-                                                .all(|fp| !fp.affects_window(key))
-                                        });
-                                    if let Some(cached) = probe {
-                                        crate::telemetry::LADDER_CACHE_HITS.incr();
-                                        break 'resolved cached.map(|(sid, d)| (false, sid, d));
-                                    }
-                                }
-                                crate::telemetry::LADDER_FULL_RESOLVES.incr();
-                                let r = crate::fuzzy::resolve_merged_window(
-                                    bf,
-                                    of,
-                                    |sid| ov.shadowed(sid),
-                                    |tok| ov.dead_token(tok),
-                                    window_text,
-                                    window_ids,
-                                    over_ids,
-                                    budget,
-                                    edit_reachable,
-                                );
-                                if let Some(scratch) = scratch.as_deref_mut() {
-                                    scratch.memo.insert(
-                                        window_text.to_string(),
-                                        r.map(|(side, sid, d)| {
-                                            let tag = if side { OVERLAY_SID_BIT } else { 0 };
-                                            (SurfaceId::new(sid.raw() | tag), d)
-                                        }),
-                                    );
-                                }
-                                if let Some(cache) = self.window_cache.as_deref() {
-                                    // Only base-owned verdicts (and
-                                    // misses) are durable: overlay
-                                    // surface ids are re-minted every
-                                    // commit, so an overlay winner must
-                                    // not outlive its epoch.
-                                    match r {
-                                        Some((true, _, _)) => {}
-                                        Some((false, sid, d)) => {
-                                            cache.insert(window_text, stamp, Some((sid, d)));
-                                        }
-                                        None => cache.insert(window_text, stamp, None),
-                                    }
-                                }
-                                r
-                            };
-                            if let Some((side, sid, distance)) = resolved {
-                                hit = Some((window, side, sid, distance));
+                            let resolved =
+                                self.resolve_window(window_text, scratch.as_deref_mut(), || {
+                                    crate::fuzzy::resolve_merged_window(
+                                        bf,
+                                        of,
+                                        |sid| ov.shadowed(sid),
+                                        |tok| ov.dead_token(tok),
+                                        window_text,
+                                        window_ids,
+                                        over_ids,
+                                        budget,
+                                        edit_reachable,
+                                    )
+                                    .map(|(side, sid, d)| verdict_in(side_dict(side), sid, d))
+                                });
+                            if let Some(verdict) = resolved {
+                                fuzzy_hit = Some((window, verdict));
                                 break;
                             }
                         }
+                        let hit = fuzzy_hit.or_else(|| {
+                            exact.map(|(w, side, sid)| (w, verdict_in(side_dict(side), sid, 0)))
+                        });
                         match hit {
-                            Some((window, side, sid, distance)) => {
-                                let dict = if side { odict } else { &*self.dict };
-                                spans.push(span_in(dict, i, window, sid, distance));
+                            Some((window, verdict)) => {
+                                spans.push(verdict.into_span(i, window));
                                 i += window;
                             }
                             None => i += 1,
@@ -1035,18 +974,6 @@ impl EntityMatcher {
                 })
             })
         })
-    }
-
-    /// Assembles one output span.
-    fn span(&self, start: usize, window: usize, sid: SurfaceId, distance: usize) -> MatchSpan {
-        MatchSpan {
-            start,
-            end: start + window,
-            surface_id: sid,
-            entity: self.dict.entity(sid),
-            distance,
-            surface: self.dict.surface_arc(sid),
-        }
     }
 
     /// Minimum queries a shard must receive before `match_batch` will
@@ -1084,7 +1011,7 @@ impl EntityMatcher {
             let mut scratch = MatchScratch::new();
             return queries
                 .iter()
-                .map(|q| self.segment_with(q.as_ref(), &mut scratch))
+                .map(|q| self.resolve(SegmentRequest::raw(q.as_ref()).scratch(&mut scratch)))
                 .collect();
         }
         let chunk_size = queries.len().div_ceil(shards);
@@ -1097,7 +1024,9 @@ impl EntityMatcher {
                         let mut scratch = MatchScratch::new();
                         chunk
                             .iter()
-                            .map(|q| self.segment_with(q.as_ref(), &mut scratch))
+                            .map(|q| {
+                                self.resolve(SegmentRequest::raw(q.as_ref()).scratch(&mut scratch))
+                            })
                             .collect::<Vec<_>>()
                     })
                 })
@@ -1110,23 +1039,27 @@ impl EntityMatcher {
     }
 }
 
-/// Assembles one output span whose surface lives in `dict` (the base
-/// or a delta overlay's dictionary — span surface ids are
-/// segment-local).
-fn span_in(
-    dict: &CompiledDict,
-    start: usize,
-    window: usize,
-    sid: SurfaceId,
-    distance: usize,
-) -> MatchSpan {
-    MatchSpan {
-        start,
-        end: start + window,
-        surface_id: sid,
+/// The verdict naming surface `sid` of `dict` (the base or a delta
+/// overlay's dictionary) at `distance`.
+fn verdict_in(dict: &CompiledDict, sid: SurfaceId, distance: usize) -> Verdict {
+    Verdict {
+        surface: dict.surface_arc(sid),
         entity: dict.entity(sid),
         distance,
-        surface: dict.surface_arc(sid),
+    }
+}
+
+impl Verdict {
+    /// The span of a mention that starts at token `start`, `window`
+    /// tokens long, and resolved to this verdict.
+    fn into_span(self, start: usize, window: usize) -> MatchSpan {
+        MatchSpan {
+            start,
+            end: start + window,
+            entity: self.entity,
+            distance: self.distance,
+            surface: self.surface,
+        }
     }
 }
 
@@ -1184,7 +1117,15 @@ fn parse_fuzzy_header(header: &str, lineno: usize) -> websyn_common::Result<Fuzz
             "min_len_two_edits" => config.min_len_two_edits = parse_usize(value)?,
             "max_distance" => config.max_distance = parse_usize(value)?,
             "transpositions" => config.transpositions = parse_bool(value)?,
-            "phonetic" => config.phonetic = parse_bool(value)?,
+            // Artifacts written while the phonetic source existed carry
+            // its switch; they load as long as it was off.
+            "phonetic" => {
+                if parse_bool(value)? {
+                    return Err(bad(
+                        "phonetic=true: the phonetic candidate source was removed",
+                    ));
+                }
+            }
             "abbrev" => config.abbrev = parse_bool(value)?,
             "token_signature" => config.token_signature = parse_bool(value)?,
             _ => return Err(bad(&format!("unknown key {key:?}"))),
@@ -1229,12 +1170,22 @@ mod tests {
         assert!(after_second.hits > after_first.hits, "{after_second:?}");
         assert_eq!(first, second);
         assert_eq!(first[0].surface(), "canon eos 350d");
-        // A clone shares the cache and the fuzzy dictionary's uid, so
-        // its probes hit too.
+        // A clone shares the cache and the log, so its probes hit too.
+        // A recompile of the same surfaces starts a lineage of its own
+        // and misses.
         let clone = m.clone();
         clone.segment("canon eso 350d price");
         let after_clone = clone.window_cache().unwrap().stats();
         assert!(after_clone.hits > after_second.hits, "{after_clone:?}");
+        assert_eq!(after_clone.misses, after_second.misses, "{after_clone:?}");
+        let recompiled =
+            fuzzy_matcher().with_shared_window_cache(Arc::clone(m.window_cache().unwrap()));
+        assert_eq!(recompiled.segment("canon eso 350d price"), first);
+        let after_recompile = m.window_cache().unwrap().stats();
+        assert!(
+            after_recompile.misses > after_clone.misses,
+            "{after_recompile:?}"
+        );
     }
 
     #[test]
@@ -1277,12 +1228,16 @@ mod tests {
     }
 
     #[test]
-    fn span_surface_ids_resolve_through_the_dict() {
-        let m = matcher();
-        let spans = m.segment("compare canon eos 350d with madagascar 2");
+    fn span_surfaces_resolve_through_the_dict() {
+        let m = fuzzy_matcher();
+        let spans = m.segment("compare cannon eos 350d with madagascar 2");
+        assert_eq!(spans.len(), 2);
         for span in &spans {
-            assert_eq!(m.dict().surface(span.surface_id), span.surface());
-            assert_eq!(m.dict().entity(span.surface_id), span.entity);
+            let sid = m
+                .dict()
+                .get_str(span.surface())
+                .expect("a dictionary surface");
+            assert_eq!(m.dict().entity(sid), span.entity);
         }
     }
 
@@ -1352,7 +1307,7 @@ mod tests {
         let config = FuzzyConfig {
             gram_size: 3,
             max_distance: 1,
-            phonetic: true,
+            abbrev: true,
             ..FuzzyConfig::default()
         };
         let m = matcher().with_fuzzy(config.clone());
@@ -1377,6 +1332,19 @@ mod tests {
         assert!(EntityMatcher::from_tsv("#!fuzzy\tgram_size=x\n").is_err());
         assert!(EntityMatcher::from_tsv("#!fuzzy\tnot_a_key=1\n").is_err());
         assert!(EntityMatcher::from_tsv("#!fuzzy\ttranspositions=maybe\n").is_err());
+        // Artifacts from before the phonetic source was removed load
+        // when it was off, and name it when it was on.
+        let old = EntityMatcher::from_tsv("#!fuzzy\tphonetic=false\tabbrev=true\nindy 4\t0\n")
+            .expect("phonetic=false still loads");
+        assert_eq!(
+            old.fuzzy_config(),
+            Some(&FuzzyConfig {
+                abbrev: true,
+                ..FuzzyConfig::default()
+            })
+        );
+        let err = EntityMatcher::from_tsv("#!fuzzy\tphonetic=true\n").unwrap_err();
+        assert!(err.to_string().contains("phonetic"), "{err}");
         // Empty input is a valid (empty) dictionary.
         let empty = EntityMatcher::from_tsv("").unwrap();
         assert!(empty.is_empty());
@@ -1460,7 +1428,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_normalized_matches_segment() {
+    fn normalized_request_matches_segment() {
         let m = fuzzy_matcher();
         for q in [
             "Indy 4 near San Fran!",
@@ -1469,7 +1437,8 @@ mod tests {
             "",
         ] {
             let normalized = normalize(q);
-            assert_eq!(m.segment(q), m.segment_normalized(&normalized), "{q:?}");
+            let request = SegmentRequest::normalized(&normalized);
+            assert_eq!(m.segment(q), m.resolve(request), "{q:?}");
         }
     }
 
@@ -1484,7 +1453,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         let with_scratch: Vec<_> = queries
             .iter()
-            .map(|q| m.segment_with(q, &mut scratch))
+            .map(|q| m.resolve(SegmentRequest::raw(q).scratch(&mut scratch)))
             .collect();
         let fresh: Vec<_> = queries.iter().map(|q| m.segment(q)).collect();
         assert_eq!(with_scratch, fresh);
@@ -1494,7 +1463,7 @@ mod tests {
         let after_first_pass = scratch.len();
         let again: Vec<_> = queries
             .iter()
-            .map(|q| m.segment_with(q, &mut scratch))
+            .map(|q| m.resolve(SegmentRequest::raw(q).scratch(&mut scratch)))
             .collect();
         assert_eq!(again, fresh);
         assert_eq!(

@@ -14,13 +14,12 @@
 use crate::data::MiningContext;
 use crate::miner::MiningResult;
 use crate::taxonomy::{classify, RelationCounts, TruthClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use websyn_common::FxHashSet;
 use websyn_synth::World;
 
 /// The full evaluation of one mining result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// Entities in the input set ("Orig").
     pub n_entities: usize,

@@ -33,10 +33,12 @@
 //! compile. Writers stage deltas ([`DictHandle::apply_delta`] followed
 //! by [`DictHandle::commit`], or [`DictHandle::apply`] for both at
 //! once), compact explicitly or automatically, or install an unrelated
-//! base ([`DictHandle::replace_base`]). Caches downstream keep no
-//! counters of their own: a result is stamped ([`crate::Stamp`]) with
-//! the view position that computed it, and an older stamp is promoted
-//! only when every footprint committed since clears the key.
+//! base ([`DictHandle::replace_base`]). Caches keep no counters of
+//! their own: a cached result or window verdict is stamped
+//! ([`crate::Stamp`]) with the view position that computed it — the
+//! serving matcher carries its view's log for that — and an older stamp
+//! is promoted only when every footprint committed since clears the
+//! key.
 //!
 //! Resolution over base + deltas is **byte-identical** to a monolithic
 //! recompile of the merged surface set (pinned by the
@@ -48,6 +50,7 @@
 use crate::dict::UNKNOWN_TOKEN;
 use crate::fuzzy::FuzzyConfig;
 use crate::matcher::EntityMatcher;
+use crate::stamp::Stamp;
 use crate::window_cache::WindowCache;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -205,9 +208,9 @@ pub struct DeltaFootprint {
     /// exact-match nor verify against a changed surface, and the
     /// fallback gate only exists at 2-token windows (hence the floor).
     max_window: usize,
-    /// Transform sources (abbreviation/phonetic keys) can map a long
-    /// window onto a short surface with no token-count relation, so
-    /// every window length must be tested.
+    /// The abbreviation source can map a long window onto a short
+    /// surface with no token-count relation, so every window length
+    /// must be tested.
     unbounded: bool,
 }
 
@@ -218,7 +221,7 @@ impl DeltaFootprint {
     fn build(changed: impl IntoIterator<Item = String>, config: Option<FuzzyConfig>) -> Self {
         let mini = EntityMatcher::from_pairs(changed.into_iter().map(|s| (s, EntityId::new(0))));
         let max_distance = config.as_ref().map_or(0, |c| c.max_distance);
-        let unbounded = config.as_ref().is_some_and(|c| c.abbrev || c.phonetic);
+        let unbounded = config.as_ref().is_some_and(|c| c.abbrev);
         let mini = match config {
             Some(config) => mini.with_fuzzy(config),
             None => mini,
@@ -292,8 +295,6 @@ pub struct DeltaSegment {
     upserts: usize,
     /// Tombstone ops in the originating delta.
     tombstones: usize,
-    /// The commit's invalidation footprint.
-    footprint: Arc<DeltaFootprint>,
 }
 
 impl DeltaSegment {
@@ -329,16 +330,6 @@ pub(crate) struct OverlayState {
     /// overlay) — the merged window bound. Using the base's own bound
     /// would probe window lengths a monolithic recompile never would.
     pub(crate) live_max_tokens: usize,
-    /// Commits since the current base: with the base's fuzzy uid, the
-    /// stamp of every window-cache entry this overlay writes.
-    pub(crate) epoch: u64,
-    /// Footprints of the chain's segments, oldest first
-    /// (`footprints.len() == epoch`): a window-cache entry stamped at
-    /// epoch `e` of the same base is promotable iff `footprints[e..]`
-    /// all clear it. Window verdicts carry base surface ids, which a
-    /// compaction renumbers, so this chain is per base and the
-    /// lineage-wide [`FootprintLog`] cannot stand in for it.
-    pub(crate) footprints: Arc<Vec<Arc<DeltaFootprint>>>,
 }
 
 impl OverlayState {
@@ -363,12 +354,7 @@ impl OverlayState {
 
     /// Builds the overlay for `base` from the collapsed map of all
     /// committed deltas (`None` = tombstone).
-    fn build(
-        base: &EntityMatcher,
-        overlay_map: &FxHashMap<String, Option<EntityId>>,
-        epoch: u64,
-        footprints: Arc<Vec<Arc<DeltaFootprint>>>,
-    ) -> Self {
+    fn build(base: &EntityMatcher, overlay_map: &FxHashMap<String, Option<EntityId>>) -> Self {
         let upserts = overlay_map
             .iter()
             .filter_map(|(s, e)| e.map(|e| (s.clone(), e)));
@@ -416,8 +402,6 @@ impl OverlayState {
             dead_tokens,
             shadowed_count,
             live_max_tokens,
-            epoch,
-            footprints,
         }
     }
 }
@@ -425,12 +409,18 @@ impl OverlayState {
 /// Where a dictionary stands and how it got there: its lineage, its
 /// revision, and the footprints of the last commits of that lineage.
 ///
-/// A result cache stamps each entry with the `(lineage, revision)` that
-/// computed it and asks [`FootprintLog::unchanged_since`] whether an
-/// older entry may be promoted. The log holds no matcher, so a cache
-/// probe that reads it can never be the last owner of a serving
-/// snapshot — and so never the thread left to free a base that a
-/// compaction retired.
+/// Both caches stamp each entry with the `(lineage, revision)` that
+/// computed it. The result cache asks [`FootprintLog::unchanged_since`]
+/// whether an older entry may be promoted, the window cache
+/// [`FootprintLog::window_unchanged_since`]. The log holds no serving
+/// matcher, so a cache probe that reads it can never be the last owner
+/// of a serving snapshot — and so never the thread left to free a base
+/// that a compaction retired.
+///
+/// A [`DictHandle`] publishes one log per revision and hands it to
+/// the serving matcher too; a matcher compiled outside any handle
+/// carries the empty log of a lineage of its own
+/// ([`FootprintLog::default`]).
 #[derive(Debug)]
 pub struct FootprintLog {
     /// Dictionary identity: changes only when an unrelated base is
@@ -445,21 +435,23 @@ pub struct FootprintLog {
     footprints: Vec<Arc<DeltaFootprint>>,
 }
 
-impl FootprintLog {
+impl Default for FootprintLog {
     /// The empty log of a new lineage.
-    fn new() -> Self {
+    fn default() -> Self {
         Self {
-            lineage: crate::stamp::next_uid(),
+            lineage: crate::stamp::next_lineage(),
             revision: 0,
             footprints: Vec::new(),
         }
     }
+}
 
+impl FootprintLog {
     /// The log after one more commit, whose footprint is `footprint`.
     /// Past the cap the oldest footprint falls off.
     fn commit(&self, footprint: Arc<DeltaFootprint>) -> Self {
-        let keep = self.footprints.len().min(FOOTPRINT_LOG_CAP - 1);
-        let mut footprints = self.footprints[self.footprints.len() - keep..].to_vec();
+        let dropped = self.footprints.len().saturating_sub(FOOTPRINT_LOG_CAP - 1);
+        let mut footprints: Vec<_> = self.footprints.iter().skip(dropped).cloned().collect();
         footprints.push(footprint);
         Self {
             lineage: self.lineage,
@@ -478,21 +470,44 @@ impl FootprintLog {
         self.revision
     }
 
+    /// The position a cache stamps what it computes at this log's
+    /// revision with.
+    pub fn stamp(&self) -> Stamp {
+        Stamp {
+            lineage: self.lineage,
+            revision: self.revision,
+        }
+    }
+
     /// Whether the normalized query `query` resolves at this log's
     /// revision exactly as it did at `revision` of the same lineage:
     /// every commit since provably leaves it unchanged (see
     /// [`DeltaFootprint::affects_query`]). `false` — unprovable — when
     /// `revision` predates the log's reach or is newer than the log.
     pub fn unchanged_since(&self, revision: u64, query: &str) -> bool {
+        self.cleared_since(revision, |fp| fp.affects_query(query))
+    }
+
+    /// Whether the normalized window `window` resolves at this log's
+    /// revision exactly as it did at `revision` of the same lineage
+    /// (see [`DeltaFootprint::affects_window`]) — the window-cache
+    /// promotion test, with the reach of
+    /// [`FootprintLog::unchanged_since`].
+    pub fn window_unchanged_since(&self, revision: u64, window: &str) -> bool {
+        self.cleared_since(revision, |fp| fp.affects_window(window))
+    }
+
+    /// Whether no footprint committed after `revision` is `affected`;
+    /// `false` when `revision` is newer than the log or older than its
+    /// reach.
+    fn cleared_since(&self, revision: u64, affected: impl Fn(&DeltaFootprint) -> bool) -> bool {
         let since = self
             .revision
             .checked_sub(revision)
-            .and_then(|n| usize::try_from(n).ok())
-            .and_then(|n| self.footprints.len().checked_sub(n));
-        since.is_some_and(|start| {
-            self.footprints[start..]
-                .iter()
-                .all(|fp| !fp.affects_query(query))
+            .and_then(|n| usize::try_from(n).ok());
+        since.is_some_and(|n| {
+            n <= self.footprints.len()
+                && !self.footprints.iter().rev().take(n).any(|fp| affected(fp))
         })
     }
 }
@@ -576,27 +591,27 @@ pub struct SegmentedDict {
     overlay_map: FxHashMap<String, Option<EntityId>>,
     /// Staged deltas awaiting [`SegmentedDict::commit`].
     pending: Vec<DictDelta>,
-    /// The published state: `base` (with overlay attached while the
-    /// chain is non-empty) at the log's revision. Readers clone the
-    /// `Arc` and are pinned to it for the whole read.
+    /// The published state: a clone of `base` (with the overlay
+    /// attached while the chain is non-empty) carrying the view's log.
+    /// Readers clone the `Arc` and are pinned to it for the whole read.
     view: Arc<DictView>,
-    /// Commits since the current base.
+    /// Commits since the current base (the chain's length; reported
+    /// as [`DictStats::epoch`]).
     epoch: u64,
     /// Completed compactions.
     compactions: u64,
 }
 
 impl SegmentedDict {
-    /// Wraps a compiled matcher as the base of a new lineage. The base
-    /// takes a fresh window-cache uid, so this lineage's delta epochs
-    /// never stamp windows under a uid another chain also stamps — not
-    /// even when `base` is a clone another handle or an earlier lineage
-    /// also built on.
-    pub fn new(mut base: EntityMatcher) -> Self {
-        base.renew_window_uid();
+    /// Wraps a compiled matcher as the base of a new lineage. Its
+    /// serving matchers carry this lineage's logs, so they stamp window
+    /// verdicts under a lineage no other handle or matcher stamps — not
+    /// even when `base` is a clone another handle also built on.
+    pub fn new(base: EntityMatcher) -> Self {
+        let log = Arc::new(FootprintLog::default());
         let view = DictView {
-            log: Arc::new(FootprintLog::new()),
-            matcher: Arc::new(base.clone()),
+            matcher: Arc::new(base.clone().with_log(Arc::clone(&log))),
+            log,
             stats: DictStats {
                 surfaces: base.dict().len(),
                 ..DictStats::default()
@@ -660,24 +675,27 @@ impl SegmentedDict {
         self.segments.push(DeltaSegment {
             upserts,
             tombstones,
-            footprint: Arc::clone(&footprint),
         });
         self.epoch += 1;
-        let chain = self.segments.iter().map(|s| Arc::clone(&s.footprint));
-        let overlay = OverlayState::build(
-            &self.base,
-            &self.overlay_map,
-            self.epoch,
-            Arc::new(chain.collect()),
-        );
-        let matcher = Arc::new(self.base.clone().with_overlay(Arc::new(overlay)));
-        self.publish(Arc::new(self.view.log.commit(footprint)), matcher);
+        let overlay = OverlayState::build(&self.base, &self.overlay_map);
+        let log = Arc::new(self.view.log.commit(footprint));
+        let matcher = self
+            .base
+            .clone()
+            .with_overlay(Arc::new(overlay))
+            .with_log(Arc::clone(&log));
+        self.publish(log, Arc::new(matcher));
         self.epoch
     }
 
     /// Replaces the view with `matcher` serving at `log`, counters
-    /// recomputed.
+    /// recomputed. The matcher must carry `log`: it stamps its window
+    /// verdicts with it.
     fn publish(&mut self, log: Arc<FootprintLog>, matcher: Arc<EntityMatcher>) {
+        debug_assert!(
+            Arc::ptr_eq(matcher.log(), &log),
+            "matcher serves another log"
+        );
         let base_len = self.base.dict().len();
         let stats = DictStats {
             surfaces: matcher
@@ -719,6 +737,7 @@ impl SegmentedDict {
             pairs: self.merged_pairs(),
             fuzzy: self.base.fuzzy_config().cloned(),
             window_cache: self.base.window_cache().map(Arc::clone),
+            log: Arc::clone(&self.view.log),
         }
     }
 
@@ -743,8 +762,10 @@ impl SegmentedDict {
     /// Installs an already-compiled merged base and its serving
     /// snapshot, clearing the chain. The footprint log — lineage,
     /// revision and all — carries over: compaction changes the
-    /// representation, not the resolution. Returns the retired base,
-    /// so a caller holding a lock can drop it after releasing it.
+    /// representation, not the resolution, so every window verdict and
+    /// result cached at this revision stays servable. Returns the
+    /// retired base, so a caller holding a lock can drop it after
+    /// releasing it.
     fn install_compacted(
         &mut self,
         base: EntityMatcher,
@@ -778,26 +799,30 @@ impl SegmentedDict {
 }
 
 /// The merged surface set plus the base's build settings (fuzzy config,
-/// shared window cache): the input of one compaction.
+/// shared window cache) and the log it was copied at: the input of one
+/// compaction.
 struct CompactionInput {
     pairs: Vec<(String, EntityId)>,
     fuzzy: Option<FuzzyConfig>,
     window_cache: Option<Arc<WindowCache>>,
+    log: Arc<FootprintLog>,
 }
 
 impl CompactionInput {
     /// Compiles the merged surface set as a standalone matcher,
-    /// carrying over the fuzzy config and shared window cache.
+    /// carrying over the fuzzy config, the shared window cache and the
+    /// log, so it serves the windows cached at the copied revision.
     fn compile(self) -> EntityMatcher {
         let m = EntityMatcher::from_pairs(self.pairs);
         let m = match self.fuzzy {
             Some(config) => m.with_fuzzy(config),
             None => m,
         };
-        match self.window_cache {
+        let m = match self.window_cache {
             Some(cache) => m.with_shared_window_cache(cache),
             None => m,
-        }
+        };
+        m.with_log(self.log)
     }
 }
 

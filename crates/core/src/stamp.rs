@@ -4,23 +4,25 @@
 //! Both caches in front of the matcher — the serving layer's result
 //! cache and the matcher's [`crate::WindowCache`] — stamp every entry
 //! with the [`Stamp`] of the dictionary that computed it and keep no
-//! counter of their own. A probe names the stamp it reads at, and
-//! [`Stamp::serves`] decides; an insert asks [`Stamp::may_replace`].
+//! counter of their own. Both take the stamp from one source, a
+//! [`crate::FootprintLog`]'s lineage and revision, and both promote an
+//! older entry through that log's footprints. A probe names the stamp
+//! it reads at, and [`Stamp::serves`] decides; an insert asks
+//! [`Stamp::may_replace`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The dictionary position a cached value was computed at: a lineage
-/// and a revision within it. The result cache uses a
-/// [`crate::FootprintLog`]'s lineage and revision; the window cache
-/// the base fuzzy dictionary's uid and the delta epoch on top of it.
+/// The dictionary position a cached value was computed at: the
+/// lineage and revision of a [`crate::FootprintLog`].
 ///
-/// One lineage names one history: lineages and uids come from one
-/// process-wide increasing counter, every new history (a new
-/// [`crate::SegmentedDict`], a base replacement, a compaction's
-/// compile) mints its own, and revision `r` of a lineage is the state
-/// after its `r`-th commit.
-/// Ordered lineage first; since ids are minted in increasing order, a
-/// greater stamp is always the later dictionary.
+/// One lineage names one history: lineages come from one process-wide
+/// increasing counter, every new history (a new
+/// [`crate::SegmentedDict`], a base replacement, a matcher compiled
+/// outside any handle) mints its own, and revision `r` of a lineage is
+/// the state after its `r`-th commit. A compaction keeps both, since
+/// it changes how the state is stored, not what it resolves.
+/// Ordered lineage first; since lineages are minted in increasing
+/// order, a greater stamp is always the later dictionary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Stamp {
     /// Dictionary identity.
@@ -52,14 +54,13 @@ impl Stamp {
     }
 }
 
-/// Source of the ids that name fuzzy dictionaries and dictionary
-/// lineages. Monotone, so a later id compares greater.
-static NEXT_UID: AtomicU64 = AtomicU64::new(1);
+/// Source of the ids that name dictionary lineages. Monotone, so a
+/// later id compares greater.
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
 
-/// A fresh nonzero id for a newly compiled (or mutated) fuzzy
-/// dictionary, or a new dictionary lineage.
-pub(crate) fn next_uid() -> u64 {
-    NEXT_UID.fetch_add(1, Ordering::Relaxed)
+/// A fresh nonzero id for a new dictionary lineage.
+pub(crate) fn next_lineage() -> u64 {
+    NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -106,9 +107,9 @@ mod tests {
     }
 
     #[test]
-    fn uids_are_unique_and_nonzero() {
-        let a = next_uid();
-        let b = next_uid();
+    fn lineages_are_unique_and_nonzero() {
+        let a = next_lineage();
+        let b = next_lineage();
         assert_ne!(a, 0);
         assert!(b > a);
     }

@@ -18,7 +18,7 @@ use crate::data::MiningContext;
 use websyn_common::{EntityId, PageId, TopK};
 
 /// Where surrogate sets come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SurrogateSource {
     /// Eq. 1: top-k search results for the canonical string (the
     /// paper's choice).

@@ -6,13 +6,12 @@
 //! a wrong/unknown string. The ablation harness uses the breakdown to
 //! show *what kind* of errors each threshold removes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use websyn_common::EntityId;
 use websyn_synth::{Relation, World};
 
 /// The ground-truth class of one mined (entity, string) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TruthClass {
     /// A true synonym (includes registered misspellings).
     Synonym,
@@ -51,7 +50,7 @@ pub fn classify(world: &World, text: &str, entity: EntityId) -> TruthClass {
 }
 
 /// Counts per truth class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelationCounts {
     /// True synonyms.
     pub synonym: usize,

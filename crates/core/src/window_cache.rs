@@ -15,26 +15,24 @@
 //! Correctness story:
 //!
 //! - a window's resolution is a pure function of its text for a fixed
-//!   fuzzy dictionary, so cached entries can never change an output —
+//!   dictionary state, so cached entries can never change an output —
 //!   only skip recomputing it (pinned by the cache-on ≡ cache-off
 //!   property tests);
-//! - every entry is **stamped** ([`crate::Stamp`]) with the dictionary
-//!   that computed it: the base fuzzy dictionary's unique id and the
-//!   delta epoch on top of it (0 for a plain matcher). A probe hits
-//!   only an entry with its own stamp, so a cache shared across a
-//!   rebuild-and-swap never serves a window another compiled
-//!   dictionary resolved, and the cache keeps no counter of its own;
-//! - an entry from an older epoch of the same base is **promoted** —
-//!   re-stamped and served — when every delta committed since provably
-//!   leaves the window alone (the footprint test of `crate::segment`).
-//!
-//! One `(uid, epoch)` names one dictionary because a uid never names
-//! two delta chains: a fuzzy dictionary takes a fresh uid when it is
-//! compiled, when its candidate chain changes, and when a
-//! [`crate::SegmentedDict`] adopts it as the base of a new lineage, so
-//! two handles built from clones of one matcher, or a base restored
-//! from an earlier clone, never share a uid. A plain matcher stamps
-//! epoch 0 only, its compiled content, which never changes.
+//! - a cached verdict holds what a span needs — the surface string,
+//!   its entity and the distance — and no surface id, so it means the
+//!   same thing in every representation of one dictionary state: a
+//!   base plus delta overlay, or the base a compaction folded them
+//!   into;
+//! - every entry is **stamped** ([`crate::Stamp`]) with the lineage and
+//!   revision of the [`crate::FootprintLog`] the resolving matcher
+//!   carries, exactly as result-cache entries are. A probe hits an
+//!   entry with its own stamp, so a cache shared across matchers never
+//!   serves a window another dictionary resolved, and the cache keeps
+//!   no counter of its own;
+//! - an entry from an older revision of the same lineage is
+//!   **promoted** — re-stamped and served — when every footprint
+//!   committed since provably leaves the window alone
+//!   ([`crate::FootprintLog::window_unchanged_since`]).
 //!
 //! Keys are the 64-bit SipHash of the window text, with the full text
 //! stored in the entry and **verified on every hit** — a probe whose
@@ -55,12 +53,23 @@ use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use websyn_common::SurfaceId;
+use std::sync::{Arc, Mutex};
+use websyn_common::EntityId;
+
+/// A window's verified fuzzy resolution: the surface it resolved to,
+/// that surface's entity and the edit distance. It names no surface
+/// id, so a verdict computed over one representation of a dictionary
+/// state stays right over another.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    pub(crate) surface: Arc<str>,
+    pub(crate) entity: EntityId,
+    pub(crate) distance: usize,
+}
 
 /// A cached window resolution: `None` is a verified miss (windows that
 /// resolve to nothing dominate real traffic and must be cached too).
-pub(crate) type Resolution = Option<(SurfaceId, usize)>;
+pub(crate) type Resolution = Option<Verdict>;
 
 /// Number of independently locked shards. Power of two; sixteen keeps
 /// lock contention negligible at serving thread counts while the
@@ -122,8 +131,8 @@ pub struct WindowCacheStats {
     /// or an unpromotable stamp, or hash-collided with different text).
     pub misses: u64,
     /// Hits served by *promoting* a stale entry across a delta commit
-    /// (counted in `hits` too): the entry predated the newest delta
-    /// segments but its window was provably unaffected by them.
+    /// (counted in `hits` too): the entry predated the newest commits
+    /// but its window was provably unaffected by them.
     pub promotions: u64,
     /// Live entries across all shards, including other dictionaries'
     /// not yet evicted.
@@ -143,8 +152,8 @@ pub struct WindowCache {
     shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Older-epoch entries revalidated across a delta commit instead of
-    /// recomputed (see [`WindowCache::get`]).
+    /// Older-revision entries revalidated across a delta commit instead
+    /// of recomputed (see [`WindowCache::get`]).
     promotions: AtomicU64,
     /// Shared seed state so every shard hashes keys identically for
     /// shard selection.
@@ -175,12 +184,11 @@ impl WindowCache {
         (h, (h >> 60) as usize % SHARDS)
     }
 
-    /// Looks `key` up for the dictionary at `stamp` (uid as lineage,
-    /// delta epoch as revision) under the rule of [`Stamp::serves`]: an
-    /// entry from an older epoch of the same uid is promoted —
-    /// re-stamped in place and served — when
-    /// `unaffected_since(window, entry_epoch)` proves that the deltas
-    /// committed since cannot change its resolution (the conservative
+    /// Looks `key` up for the dictionary at `stamp` under the rule of
+    /// [`Stamp::serves`]: an entry from an older revision of the same
+    /// lineage is promoted — re-stamped in place and served — when
+    /// `unaffected_since(window, entry_revision)` proves that the
+    /// commits since cannot change its resolution (the conservative
     /// footprint test of `crate::segment`), so a delta commit
     /// invalidates only the windows it could actually touch. A hash
     /// match whose stored text differs is a miss too.
@@ -195,14 +203,15 @@ impl WindowCache {
         match shard.map.get_mut(&h) {
             Some(e)
                 if *e.key == *key
-                    && e.stamp.serves(stamp, |epoch| unaffected_since(key, epoch)) =>
+                    && e.stamp
+                        .serves(stamp, |revision| unaffected_since(key, revision)) =>
             {
                 if e.stamp != stamp {
                     e.stamp = stamp;
                     self.promotions.fetch_add(1, Ordering::Relaxed);
                 }
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.resolution)
+                Some(e.resolution.clone())
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -269,11 +278,16 @@ impl WindowCache {
 mod tests {
     use super::*;
 
-    const fn at(uid: u64, epoch: u64) -> Stamp {
-        Stamp {
-            lineage: uid,
-            revision: epoch,
-        }
+    const fn at(lineage: u64, revision: u64) -> Stamp {
+        Stamp { lineage, revision }
+    }
+
+    fn verdict(surface: &str, entity: u32, distance: usize) -> Resolution {
+        Some(Verdict {
+            surface: surface.into(),
+            entity: EntityId::new(entity),
+            distance,
+        })
     }
 
     /// A promotion check that must never run.
@@ -285,10 +299,10 @@ mod tests {
     fn hit_after_insert_same_stamp() {
         let c = WindowCache::new(64);
         assert_eq!(c.get("canon eos", at(1, 0), never), None);
-        c.insert("canon eos", at(1, 0), Some((SurfaceId::new(3), 1)));
+        c.insert("canon eos", at(1, 0), verdict("canon eos 350d", 3, 1));
         assert_eq!(
             c.get("canon eos", at(1, 0), never),
-            Some(Some((SurfaceId::new(3), 1)))
+            Some(verdict("canon eos 350d", 3, 1))
         );
         c.insert("junk window", at(1, 0), None);
         assert_eq!(c.get("junk window", at(1, 0), never), Some(None));
@@ -297,41 +311,41 @@ mod tests {
     }
 
     #[test]
-    fn rebinding_a_different_dictionary_hides_old_entries() {
+    fn another_lineage_never_sees_an_entry() {
         let c = WindowCache::new(64);
-        c.insert("window", at(1, 0), Some((SurfaceId::new(9), 2)));
+        c.insert("window", at(1, 0), verdict("windows", 9, 2));
         assert!(c.get("window", at(1, 0), never).is_some());
-        // Another uid never sees the entry, whatever its epoch, and
-        // never consults the promotion check.
+        // Another lineage never sees the entry, whatever its revision,
+        // and never consults the promotion check.
         assert_eq!(c.get("window", at(2, 0), never), None);
         assert_eq!(c.get("window", at(2, 3), never), None);
-        // The uid's own entry is still there when it returns: one
-        // (uid, epoch) never names two dictionaries.
+        // The lineage's own entry is still there when it returns: one
+        // (lineage, revision) never names two dictionaries.
         assert_eq!(
             c.get("window", at(1, 0), never),
-            Some(Some((SurfaceId::new(9), 2)))
+            Some(verdict("windows", 9, 2))
         );
     }
 
     #[test]
-    fn older_epochs_promote_only_when_cleared() {
+    fn older_revisions_promote_only_when_cleared() {
         let c = WindowCache::new(64);
         c.insert("kept", at(1, 0), None);
         c.insert("touched", at(1, 0), None);
-        // The check sees the entry's epoch; a pass re-stamps it.
+        // The check sees the entry's revision; a pass re-stamps it.
         assert_eq!(
-            c.get("kept", at(1, 2), |key, epoch| {
-                assert_eq!((key, epoch), ("kept", 0));
+            c.get("kept", at(1, 2), |key, revision| {
+                assert_eq!((key, revision), ("kept", 0));
                 true
             }),
             Some(None)
         );
         assert_eq!(c.get("kept", at(1, 2), never), Some(None), "re-stamped");
         assert_eq!(c.get("touched", at(1, 2), |_, _| false), None);
-        // A newer entry is invisible to an older epoch, and an older
+        // A newer entry is invisible to an older revision, and an older
         // writer does not overwrite it.
         assert_eq!(c.get("kept", at(1, 1), never), None);
-        c.insert("kept", at(1, 1), Some((SurfaceId::new(4), 0)));
+        c.insert("kept", at(1, 1), verdict("kempt", 4, 1));
         assert_eq!(c.get("kept", at(1, 2), never), Some(None));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.promotions), (3, 2, 1));
@@ -344,18 +358,18 @@ mod tests {
         assert_eq!(c.stats().entries, 1);
         // Same window under another dictionary: the entry is refreshed
         // in place — entry count stays flat and the new resolution wins.
-        c.insert("canon eos", at(2, 0), Some((SurfaceId::new(7), 1)));
+        c.insert("canon eos", at(2, 0), verdict("canon eos 350d", 7, 1));
         assert_eq!(c.stats().entries, 1);
         assert_eq!(
             c.get("canon eos", at(2, 0), never),
-            Some(Some((SurfaceId::new(7), 1)))
+            Some(verdict("canon eos 350d", 7, 1))
         );
         assert_eq!(c.get("canon eos", at(1, 0), never), None, "overwritten");
         // The earlier dictionary's writer cannot push its entry back.
         c.insert("canon eos", at(1, 0), None);
         assert_eq!(
             c.get("canon eos", at(2, 0), never),
-            Some(Some((SurfaceId::new(7), 1)))
+            Some(verdict("canon eos 350d", 7, 1))
         );
     }
 

@@ -269,17 +269,14 @@ impl Engine {
     /// entries of the old lineage could never hit again, so this only
     /// frees their memory.
     fn stamp(&self, log: &FootprintLog) -> Stamp {
-        let lineage = log.lineage();
-        if lineage > self.lineage.load(Ordering::Acquire)
-            && self.lineage.fetch_max(lineage, Ordering::AcqRel) < lineage
+        let stamp = log.stamp();
+        if stamp.lineage > self.lineage.load(Ordering::Acquire)
+            && self.lineage.fetch_max(stamp.lineage, Ordering::AcqRel) < stamp.lineage
         {
             self.cache.invalidate();
             self.swaps.fetch_add(1, Ordering::AcqRel);
         }
-        Stamp {
-            lineage,
-            revision: log.revision(),
-        }
+        stamp
     }
 
     /// Stages and publishes `delta` through the handle, so the very

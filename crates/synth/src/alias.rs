@@ -7,14 +7,13 @@
 //! rather than human-judged.
 
 use crate::entity::{ConceptId, FranchiseId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use websyn_common::{EntityId, FxHashMap};
 use websyn_text::AbbrevKind;
 
 /// The ground-truth relation of a string surface to an entity, per the
 /// paper's Definitions 1–3 (plus Related, Figure 1d).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// Refers to exactly the same entity set (Definition 1).
     Synonym,
@@ -41,7 +40,7 @@ impl fmt::Display for Relation {
 }
 
 /// The aspect of an entity a hyponym string targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AspectKind {
     /// Movie trailer ("indy 4 trailer").
     Trailer,
@@ -77,7 +76,7 @@ impl AspectKind {
 }
 
 /// What a string surface refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AliasTarget {
     /// A single entity (synonyms and hyponym/aspect strings).
     Entity(EntityId),
@@ -89,7 +88,7 @@ pub enum AliasTarget {
 
 /// How a surface came to exist — carried through experiments so recall
 /// can be reported per transform family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AliasSource {
     /// The canonical name itself.
     Canonical,
@@ -113,7 +112,7 @@ pub enum AliasSource {
 
 /// One alias record: a surface, its target, relation, provenance and
 /// the probability weight with which users choose it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alias {
     /// Normalized surface text.
     pub text: String,
@@ -138,11 +137,10 @@ pub struct Alias {
 /// both truncating to "the chronicles") is ambiguous in the oracle
 /// sense — it no longer refers to a single entity set — so both records
 /// are dropped and counted in [`AliasUniverse::ambiguous_dropped`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AliasUniverse {
     aliases: Vec<Alias>,
     /// text -> index into `aliases`.
-    #[serde(skip)]
     by_text: FxHashMap<String, usize>,
     /// Texts proven ambiguous (seen with two different targets). Once
     /// banned, a text can never re-enter the universe.

@@ -2,11 +2,10 @@
 //! experiments.
 
 use crate::entity::Domain;
-use serde::{Deserialize, Serialize};
 use websyn_common::{Error, Result};
 
 /// Configuration for building a [`crate::World`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Master seed; every stream in the world derives from it.
     pub seed: u64,

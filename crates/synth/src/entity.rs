@@ -7,12 +7,11 @@
 //! (an actor, a brand) whose name is *related* to its member entities
 //! without referring to them — the paper's Figure 1(d) case.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use websyn_common::EntityId;
 
 /// The structured-data domain an entity lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Movie titles (the paper's D1: top-100 2008 box office).
     Movies,
@@ -30,8 +29,7 @@ impl fmt::Display for Domain {
 }
 
 /// Identifier of a franchise (movie series / camera product line).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FranchiseId(pub u32);
 
 impl FranchiseId {
@@ -48,8 +46,7 @@ impl fmt::Display for FranchiseId {
 }
 
 /// Identifier of a concept (actor, brand, genre).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConceptId(pub u32);
 
 impl ConceptId {
@@ -66,7 +63,7 @@ impl fmt::Display for ConceptId {
 }
 
 /// What kind of associated concept this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConceptKind {
     /// A person appearing in member movies ("harrison ford").
     Actor,
@@ -75,7 +72,7 @@ pub enum ConceptKind {
 }
 
 /// One structured-data entity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     /// Dense id; also the index into `World::entities`.
     pub id: EntityId,
@@ -96,7 +93,7 @@ pub struct Entity {
 }
 
 /// A franchise: a set of entities sharing a series/line name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Franchise {
     /// Dense id; index into `World::franchises`.
     pub id: FranchiseId,
@@ -109,7 +106,7 @@ pub struct Franchise {
 }
 
 /// A related concept: actor or brand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Concept {
     /// Dense id; index into `World::concepts`.
     pub id: ConceptId,

@@ -9,11 +9,10 @@
 //! instead of human-judged).
 
 use crate::alias::{AliasSource, AliasTarget, AliasUniverse, Relation};
-use serde::{Deserialize, Serialize};
 use websyn_common::{EntityId, FxHashMap};
 
 /// What a query string truly refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruthEntry {
     /// The true referent.
     pub target: AliasTarget,
@@ -24,7 +23,7 @@ pub struct TruthEntry {
 }
 
 /// The oracle: normalized surface text → truth.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     map: FxHashMap<String, TruthEntry>,
 }

@@ -20,7 +20,7 @@ use crate::numerals::{arabic_to_roman, arabic_to_words, roman_to_arabic, words_t
 
 /// The transform that produced a variant. Carried through the synth
 /// world so experiments can report per-transform recall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbbrevKind {
     /// First letters of content words: "lord of the rings" → "lotr".
     Acronym,

@@ -12,20 +12,17 @@
 //! Endrullis et al., "Evaluation of Query Generators for Entity Search
 //! Engines", which evaluates exactly such pluggable generator stacks).
 //! A source proposes ids into a caller-owned buffer; the caller applies
-//! its own verification and selection policy. Three generators live
+//! its own verification and selection policy. Two generators live
 //! here or nearby:
 //!
 //! - [`NgramIndex`](crate::ngram_index::NgramIndex) — character n-gram
 //!   signatures with length/count filters (edit-distance recall);
-//! - [`PhoneticIndex`] — per-token Soundex blocking (sound-alike
-//!   recall beyond what shared n-grams catch);
 //! - [`AbbrevIndex`] — precomputed systematic abbreviations
 //!   ([`crate::abbrev`]): acronyms, stopword drops, numeral respells.
 //!   Its proposals are deterministic transform hits, not edit-distance
 //!   neighbours, so it reports `needs_verification() == false`.
 
 use crate::abbrev;
-use crate::phonetic::soundex;
 use websyn_common::FxHashMap;
 
 /// A generator of candidate surface ids for approximate lookup.
@@ -42,7 +39,7 @@ pub trait CandidateSource {
     fn name(&self) -> &'static str;
 
     /// Whether proposals still require edit-distance verification.
-    /// Signature filters (n-grams, phonetic blocking) return `true`:
+    /// Signature filters (n-grams, token runs) return `true`:
     /// they over-generate. Deterministic transform sources (abbrev)
     /// return `false`: a hit *is* the resolution, at transform
     /// distance 0.
@@ -58,7 +55,7 @@ pub trait CandidateSource {
     /// Whether a query of `n_tokens` tokens at edit budget `max_dist`
     /// can produce a **within-budget** proposal even when none of its
     /// tokens occurs verbatim in an indexed surface. Content-free and
-    /// transform generators (grams, phonetic keys, abbreviations)
+    /// transform generators (grams, abbreviations)
     /// conservatively say `true` for every shape; anchor-keyed
     /// postings (the token-signature index) say `true` only where a
     /// space-damage anchor can still verify. Resolvers use a `false`
@@ -152,89 +149,6 @@ impl PrefixHit {
     pub const DESPACED: u32 = u32::MAX;
 }
 
-/// Per-token Soundex blocking: surfaces sharing the query's phonetic
-/// key are proposed, whatever their n-gram overlap.
-///
-/// The key of a surface is the Soundex code of each token joined by
-/// spaces; tokens without an ASCII letter (bare model numbers) keep
-/// their literal text, so "canon eos 350d" and "cannon eos 350d" key
-/// identically while "canon eos 400d" does not collide with "canon eos
-/// 350d".
-///
-/// # Examples
-///
-/// ```
-/// use websyn_text::{CandidateSource, PhoneticIndex};
-///
-/// let idx = PhoneticIndex::build(["indiana jones", "madagascar"]);
-/// let mut out = Vec::new();
-/// idx.propose("indianna jones", 1, &mut out);
-/// assert_eq!(out, vec![0]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PhoneticIndex {
-    /// phonetic key → surface ids, ascending.
-    keys: FxHashMap<String, Vec<u32>>,
-}
-
-/// The phonetic key of a normalized surface (see [`PhoneticIndex`]).
-fn phonetic_key(s: &str) -> String {
-    let mut key = String::with_capacity(s.len());
-    for tok in s.split(' ').filter(|t| !t.is_empty()) {
-        if !key.is_empty() {
-            key.push(' ');
-        }
-        // Only purely alphabetic tokens are sound-alike material; a
-        // digit-bearing token ("350d") stays literal so model numbers
-        // don't collapse onto each other.
-        let code = if tok.chars().all(|c| c.is_ascii_alphabetic()) {
-            soundex(tok)
-        } else {
-            None
-        };
-        match code {
-            Some(code) => key.push_str(&code),
-            None => key.push_str(tok),
-        }
-    }
-    key
-}
-
-impl PhoneticIndex {
-    /// Indexes `surfaces` by phonetic key. Ids are build-order
-    /// positions, aligned with any other source built over the same
-    /// list.
-    pub fn build<S: AsRef<str>>(surfaces: impl IntoIterator<Item = S>) -> Self {
-        let mut keys: FxHashMap<String, Vec<u32>> = FxHashMap::default();
-        for (id, surface) in surfaces.into_iter().enumerate() {
-            let id = u32::try_from(id).expect("more than u32::MAX surfaces");
-            let key = phonetic_key(surface.as_ref());
-            if !key.is_empty() {
-                keys.entry(key).or_default().push(id);
-            }
-        }
-        Self { keys }
-    }
-
-    /// Number of distinct phonetic keys.
-    pub fn n_keys(&self) -> usize {
-        self.keys.len()
-    }
-}
-
-impl CandidateSource for PhoneticIndex {
-    fn name(&self) -> &'static str {
-        "phonetic"
-    }
-
-    fn propose(&self, query: &str, _max_dist: usize, out: &mut Vec<u32>) {
-        let key = phonetic_key(query);
-        if let Some(ids) = self.keys.get(&key) {
-            out.extend_from_slice(ids);
-        }
-    }
-}
-
 /// Precomputed systematic abbreviations: every mechanical variant of
 /// every surface ([`crate::abbrev::variants`]) maps back to the surface
 /// that generated it, so a query that *is* such a variant resolves in
@@ -313,28 +227,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phonetic_groups_sound_alikes() {
-        let idx = PhoneticIndex::build(["indiana jones", "madagascar 2", "nikon d80"]);
-        let mut out = Vec::new();
-        idx.propose("indianna jones", 2, &mut out);
-        assert_eq!(out, vec![0]);
-        out.clear();
-        // Different sounds propose nothing.
-        idx.propose("totally unrelated", 2, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn phonetic_keeps_literal_numeric_tokens() {
-        let idx = PhoneticIndex::build(["canon eos 350d", "canon eos 400d"]);
-        let mut out = Vec::new();
-        // "cannon" and "canon" share a Soundex code; the numeric tails
-        // are literal, so only the 350d surface is proposed.
-        idx.propose("cannon eos 350d", 1, &mut out);
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
     fn abbrev_maps_acronyms_and_tails() {
         let idx = AbbrevIndex::build(["lord of the rings", "canon eos 350d"]);
         let mut out = Vec::new();
@@ -361,8 +253,6 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let p = PhoneticIndex::build(std::iter::empty::<&str>());
-        assert_eq!(p.n_keys(), 0);
         let a = AbbrevIndex::build([""]);
         let mut out = Vec::new();
         a.propose("", 0, &mut out);

@@ -24,9 +24,9 @@
 //!   windows (length-band, token-count and aligned-offset filters),
 //!   the fast candidate generator on the segmenter's fuzzy hot path;
 //! - [`candidate`] — the [`CandidateSource`] trait every approximate
-//!   generator implements (n-gram, phonetic, abbreviation), so matchers
-//!   and spell correctors share one pluggable generation stage;
-//! - [`phonetic`] — Soundex codes for sound-alike candidate grouping;
+//!   generator implements (n-gram, token run, abbreviation), so
+//!   matchers and spell correctors share one pluggable generation
+//!   stage;
 //! - [`numerals`] — roman ↔ arabic ↔ word numeral transforms
 //!   ("Indiana Jones IV" ↔ "Indiana Jones 4" ↔ "Indiana Jones Four");
 //! - [`abbrev`] — systematic abbreviation transforms (acronyms, subtitle
@@ -44,13 +44,12 @@ pub mod ngram;
 pub mod ngram_index;
 pub mod normalize;
 pub mod numerals;
-pub mod phonetic;
 pub mod token_signature;
 pub mod tokenize;
 pub mod typo;
 
 pub use abbrev::AbbrevKind;
-pub use candidate::{AbbrevIndex, CandidateSource, PhoneticIndex, PrefixHit};
+pub use candidate::{AbbrevIndex, CandidateSource, PrefixHit};
 pub use char_bag::CharBag;
 pub use distance::{
     damerau_levenshtein, damerau_levenshtein_within, damerau_levenshtein_within_ref, jaro,
@@ -61,7 +60,6 @@ pub use ngram::{char_ngrams, cosine, dice, jaccard, overlap_coefficient, word_ng
 pub use ngram_index::NgramIndex;
 pub use normalize::{normalize, normalized, NormalizeOptions};
 pub use numerals::{arabic_to_roman, arabic_to_words, roman_to_arabic, words_to_arabic};
-pub use phonetic::soundex;
 pub use token_signature::TokenSignatureIndex;
 pub use tokenize::{token_bounds, tokenize, Token, TokenKind};
 pub use typo::{double_middle_char, TypoModel};

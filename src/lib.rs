@@ -98,7 +98,6 @@ mod tests {
         assert_type::<crate::common::Zipf>();
         assert_type::<crate::prelude::CompiledDict>();
         assert_type::<crate::prelude::SurfaceId>();
-        assert_type::<crate::text::PhoneticIndex>();
         assert_type::<crate::text::AbbrevIndex>();
         fn assert_source<T: crate::text::CandidateSource>() {}
         assert_source::<crate::text::NgramIndex>();

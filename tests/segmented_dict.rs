@@ -184,9 +184,10 @@ fn check_equivalence(
     };
     let base = EntityMatcher::from_pairs(pairs).with_fuzzy(config.clone());
     // Two handles over the same lifecycle: one with the shared
-    // cross-batch window cache (exercising its (uid, epoch) stamps:
-    // another uid's entries are invisible, older-epoch entries are
-    // promoted by footprint across commits), one without.
+    // cross-batch window cache (exercising its (lineage, revision)
+    // stamps: another lineage's entries are invisible, older-revision
+    // entries are promoted by footprint across commits and survive
+    // compaction), one without.
     let cache = Arc::new(WindowCache::new(256));
     let cached_handle = DictHandle::new(base.clone().with_shared_window_cache(Arc::clone(&cache)));
     let plain_handle = DictHandle::new(base);
@@ -307,9 +308,9 @@ proptest! {
         check_equivalence(pairs, deltas, segments, FuzzyConfig::default());
     }
 
-    /// Same equivalence with the transform sources (abbreviation +
-    /// phonetic keys) enabled: these propose across token-count gaps,
-    /// the hard case for the merged chain and for footprint gating.
+    /// Same equivalence with the transform source (abbreviation keys)
+    /// enabled: it proposes across token-count gaps, the hard case for
+    /// the merged chain and for footprint gating.
     #[test]
     fn segmented_matches_monolithic_with_transform_sources(
         pairs in collection::vec(("[a-z]{3,10}( [a-z0-9]{2,6}){0,2}", 0u32..6), 1..10),
@@ -328,20 +329,19 @@ proptest! {
             .collect();
         let config = FuzzyConfig {
             abbrev: true,
-            phonetic: true,
             ..FuzzyConfig::default()
         };
         check_equivalence(pairs, deltas, segments, config);
     }
 }
 
-/// One `(fuzzy uid, epoch)` window-cache stamp names one dictionary,
+/// One `(lineage, revision)` window-cache stamp names one dictionary,
 /// whichever handles share the cache: a base restored from a clone
 /// after a compaction, and two handles built from clones of one
-/// matcher, stamp their delta epochs under uids of their own. Each
+/// matcher, stamp their revisions under lineages of their own. Each
 /// case first caches a window verdict on a chain that tombstones
 /// "canon eos 350d", then resolves the typo on a chain that only adds
-/// an unrelated surface, at the same epoch.
+/// an unrelated surface, at the same revision.
 #[test]
 fn window_stamps_never_cross_delta_chains() {
     let config = FuzzyConfig::default();
@@ -383,6 +383,124 @@ fn window_stamps_never_cross_delta_chains() {
     b.apply(unrelated);
     assert_ne!(flatten(&a.matcher().segment("cannon eos 350d")), want);
     assert_eq!(flatten(&b.matcher().segment("cannon eos 350d")), want);
+}
+
+/// Compaction keeps the lineage and revision, and a window verdict
+/// names its surface by string, not by an id the recompile renumbers:
+/// every window warmed on the base + overlay is served from the cache
+/// by the compacted base, with not one new miss.
+#[test]
+fn compaction_keeps_every_warm_window() {
+    let config = FuzzyConfig::default();
+    let mut model: FxHashMap<String, EntityId> = [
+        ("canon eos 350d", 1),
+        ("sony alpha a100", 2),
+        ("nikon d80", 3),
+    ]
+    .iter()
+    .map(|&(s, e)| (s.to_string(), EntityId::new(e)))
+    .collect();
+    let base = EntityMatcher::from_pairs(model.clone())
+        .with_fuzzy(config.clone())
+        .with_window_cache(256);
+    let cache = Arc::clone(base.window_cache().expect("cache attached"));
+    let handle = DictHandle::new(base);
+    handle.set_auto_compact(0);
+    let mut delta = DictDelta::new();
+    delta.upsert("pentax k10d", EntityId::new(4));
+    delta.tombstone("nikon d80");
+    handle.apply(delta);
+    model.insert("pentax k10d".to_string(), EntityId::new(4));
+    model.remove("nikon d80");
+    let queries = [
+        "cannon eos 350d price",
+        "pentx k10d review",
+        "sony alpah a100 vs pentax k10d",
+        "nikon d80 lens",
+        "weather in paris tonight",
+    ];
+    let oracle = oracle(&model, &config);
+    let read = |label: &str| {
+        let matcher = handle.matcher();
+        for q in queries {
+            assert_eq!(
+                flatten(&matcher.segment(q)),
+                flatten(&oracle.segment(q)),
+                "{label} {q:?}"
+            );
+        }
+    };
+    read("overlay");
+    let warm = cache.stats();
+    assert!(warm.misses > 0, "{warm:?}");
+    handle.compact();
+    assert_eq!(
+        (handle.stats().compactions, handle.stats().segments),
+        (1, 0)
+    );
+    read("compacted");
+    let after = cache.stats();
+    assert_eq!(after.misses, warm.misses, "a window missed: {after:?}");
+    assert!(after.hits > warm.hits, "{after:?}");
+}
+
+/// A window first won by an overlay upsert is cached like any other:
+/// promoted across a commit that cannot touch it, and re-resolved
+/// after one that re-points or tombstones its surface.
+#[test]
+fn overlay_won_windows_are_cached_until_their_surface_changes() {
+    let config = FuzzyConfig::default();
+    let mut model: FxHashMap<String, EntityId> = [("canon eos 350d", 1), ("sony alpha a100", 2)]
+        .iter()
+        .map(|&(s, e)| (s.to_string(), EntityId::new(e)))
+        .collect();
+    let base = EntityMatcher::from_pairs(model.clone())
+        .with_fuzzy(config.clone())
+        .with_window_cache(256);
+    let cache = Arc::clone(base.window_cache().expect("cache attached"));
+    let handle = DictHandle::new(base);
+    handle.set_auto_compact(0);
+    let query = "pentx k10d";
+    let commit = |model: &mut FxHashMap<String, EntityId>, surface: &str, entity: Option<u32>| {
+        let mut delta = DictDelta::new();
+        match entity {
+            Some(e) => {
+                delta.upsert(surface, EntityId::new(e));
+                model.insert(surface.to_string(), EntityId::new(e));
+            }
+            None => {
+                delta.tombstone(surface);
+                model.remove(surface);
+            }
+        }
+        handle.apply(delta);
+        let got = flatten(&handle.matcher().segment(query));
+        assert_eq!(
+            got,
+            flatten(&oracle(model, &config).segment(query)),
+            "{surface}"
+        );
+        (got, cache.stats())
+    };
+
+    let (spans, first) = commit(&mut model, "pentax k10d", Some(4));
+    assert_eq!(
+        (spans[0].2.as_str(), spans[0].3),
+        ("pentax k10d", EntityId::new(4))
+    );
+    assert!(first.misses > 0, "{first:?}");
+
+    let (_, unrelated) = commit(&mut model, "olympus e510", Some(5));
+    assert_eq!(unrelated.misses, first.misses, "{unrelated:?}");
+    assert!(unrelated.promotions > first.promotions, "{unrelated:?}");
+
+    let (spans, repointed) = commit(&mut model, "pentax k10d", Some(6));
+    assert_eq!(spans[0].3, EntityId::new(6));
+    assert!(repointed.misses > unrelated.misses, "{repointed:?}");
+
+    let (spans, tombstoned) = commit(&mut model, "pentax k10d", None);
+    assert!(spans.is_empty(), "{spans:?}");
+    assert!(tombstoned.misses > repointed.misses, "{tombstoned:?}");
 }
 
 /// Readers resolve on epoch-pinned snapshots while a writer commits
