@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for every hot component: text analysis,
 //! indexing, retrieval, session simulation, graph construction, the
-//! miner's two phases, the random walk, the query matcher and
-//! first-sight fuzzy resolution.
+//! miner's two phases, the random walk, the query matcher,
+//! first-sight fuzzy resolution and the serving dictionary's compile.
 //!
 //! Run: `cargo bench -p websyn-bench`
 
@@ -190,6 +190,22 @@ fn bench_fuzzy(c: &mut Criterion) {
     g.finish();
 }
 
+/// The serving dictionary's compile from its artifact: parse, dedupe,
+/// compile the exact side, then the token-signature and n-gram
+/// indexes — what a server pays at startup and every compaction pays
+/// again.
+fn bench_dict(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dict");
+    g.sample_size(20);
+    let tsv = EntityMatcher::from_pairs(synth_product_dictionary(20_000))
+        .with_fuzzy(FuzzyConfig::default())
+        .to_tsv();
+    g.bench_function("from_tsv_20k", |b| {
+        b.iter(|| EntityMatcher::from_tsv(black_box(&tsv)).expect("valid artifact"))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_text,
@@ -198,6 +214,7 @@ criterion_group!(
     bench_miner,
     bench_walk,
     bench_matcher,
-    bench_fuzzy
+    bench_fuzzy,
+    bench_dict
 );
 criterion_main!(benches);

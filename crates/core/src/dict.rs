@@ -15,6 +15,13 @@
 //! - surfaces are ordered by token sequence in a probe table that is
 //!   bucketed by first token and binary-searched within the bucket.
 //!
+//! Every per-surface and per-token table is a flat array: the surface
+//! strings share one `String` arena delimited by `u32` offsets, and the
+//! token vocabulary is one arena behind a `u32` hash table. A compiled
+//! dictionary is a fixed set of heap blocks whatever its size, and a
+//! match's `Arc<str>` surface ([`CompiledDict::surface_arc`]) is copied
+//! out of the arena only when a span or window verdict is emitted.
+//!
 //! Query side, the normalized query is tokenized **once** into byte
 //! ranges ([`websyn_text::token_bounds`]) and mapped to token ids; a
 //! segmenter window is then a `&[u32]` slice probe — integer compares,
@@ -97,10 +104,12 @@ pub struct CompiledDict {
     offsets: Vec<u32>,
     /// Entity of each surface, by surface id.
     entities: Vec<EntityId>,
-    /// The normalized surface strings, by surface id (lexicographic).
-    /// Shared `Arc`s so emitting a match clones a pointer, not a
-    /// string.
-    surfaces: Vec<Arc<str>>,
+    /// The normalized surface strings, concatenated in surface-id
+    /// (lexicographic) order: one arena, no per-surface allocation.
+    text: String,
+    /// `text[text_offsets[i] .. text_offsets[i+1]]` is surface `i`;
+    /// `len + 1` entries.
+    text_offsets: Vec<u32>,
     /// Char length of each surface, by surface id.
     char_lens: Vec<u32>,
     /// Character counts of each surface, by surface id: the one copy
@@ -109,10 +118,12 @@ pub struct CompiledDict {
     char_bags: Vec<CharBag>,
     /// Surface ids ordered by token sequence — the probe table.
     order: Vec<u32>,
-    /// `[start, end)` range of `order` per first token, indexed
-    /// directly by token id (dense, one entry per vocabulary token) —
-    /// a window probe costs one array read, no hashing at all.
-    first_ranges: Vec<(u32, u32)>,
+    /// `order[first_starts[t] .. first_starts[t+1]]` are the surfaces
+    /// whose first token is `t` (the order sorts by first token, so
+    /// each bucket is one run); `n_tokens + 1` entries, indexed directly
+    /// by token id — a window probe costs two array reads, no hashing
+    /// at all.
+    first_starts: Vec<u32>,
     /// Longest surface in tokens (bounds the segmenter window).
     max_tokens: usize,
     /// Per-token reachability envelope, indexed by token id (the
@@ -134,44 +145,60 @@ impl CompiledDict {
     pub fn build(mut pairs: Vec<(String, EntityId)>) -> Self {
         pairs.retain(|(s, _)| !s.is_empty());
         pairs.sort_unstable();
+        Self::from_sorted(pairs.iter().map(|(s, e)| (s.as_str(), *e)))
+    }
+
+    /// Compiles rows that are already in `(surface, entity)` order and
+    /// non-empty; surface ids follow the row order. Every array is
+    /// filled by one pass over the rows plus a sort of the probe table
+    /// — no per-surface allocation.
+    pub(crate) fn from_sorted<'a>(
+        rows: impl ExactSizeIterator<Item = (&'a str, EntityId)>,
+    ) -> Self {
+        let n = rows.len();
         let mut tokens = StringInterner::new();
         let mut arena = Vec::new();
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
-        let mut entities = Vec::with_capacity(pairs.len());
-        let mut surfaces = Vec::with_capacity(pairs.len());
-        let mut char_lens = Vec::with_capacity(pairs.len());
-        let mut char_bags = Vec::with_capacity(pairs.len());
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut entities = Vec::with_capacity(n);
+        let mut text = String::new();
+        let mut text_offsets = Vec::with_capacity(n + 1);
+        let mut char_lens = Vec::with_capacity(n);
+        let mut char_bags = Vec::with_capacity(n);
         let mut max_tokens = 0;
         let mut ids: Vec<TokenId> = Vec::new();
         offsets.push(0);
-        for (surface, entity) in &pairs {
+        text_offsets.push(0);
+        for (surface, entity) in rows {
+            debug_assert!(!surface.is_empty(), "empty surfaces are skipped");
             tokens.intern_tokens(surface, &mut ids);
             max_tokens = max_tokens.max(ids.len());
             arena.extend(ids.iter().map(|id| id.raw()));
             offsets.push(u32::try_from(arena.len()).expect("dictionary arena overflow"));
-            entities.push(*entity);
-            surfaces.push(Arc::from(surface.as_str()));
+            entities.push(entity);
+            text.push_str(surface);
+            text_offsets.push(u32::try_from(text.len()).expect("dictionary text overflow"));
             char_lens.push(surface.chars().count() as u32);
             char_bags.push(CharBag::of(surface));
         }
         tokens.shrink_to_fit();
+        arena.shrink_to_fit();
+        text.shrink_to_fit();
 
-        let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
         let slice = |id: u32| {
             let (a, b) = (offsets[id as usize], offsets[id as usize + 1]);
             &arena[a as usize..b as usize]
         };
         order.sort_unstable_by(|&a, &b| slice(a).cmp(slice(b)));
-        let mut first_ranges: Vec<(u32, u32)> = vec![(0, 0); tokens.len()];
-        for (pos, &sid) in order.iter().enumerate() {
-            let Some(&first) = slice(sid).first() else {
-                continue;
-            };
-            let entry = &mut first_ranges[first as usize];
-            if entry.0 == entry.1 {
-                entry.0 = pos as u32;
-            }
-            entry.1 = pos as u32 + 1;
+        let mut first_starts = vec![0u32; tokens.len() + 1];
+        for sid in 0..n as u32 {
+            // A surface with no token (only spaces) sorts before every
+            // bucket.
+            let after = slice(sid).first().map_or(0, |&t| t as usize + 1);
+            first_starts[after] += 1;
+        }
+        for t in 1..first_starts.len() {
+            first_starts[t] += first_starts[t - 1];
         }
 
         // Reachability tables for window pruning: the per-token
@@ -187,12 +214,8 @@ impl CompiledDict {
             tokens.len()
         ];
         let mut counts_by_len: Vec<u32> = Vec::new();
-        for sid in 0..entities.len() {
-            let ids = {
-                let (a, b) = (offsets[sid], offsets[sid + 1]);
-                &arena[a as usize..b as usize]
-            };
-            let len = char_lens[sid];
+        for (sid, &len) in char_lens.iter().enumerate() {
+            let ids = slice(sid as u32);
             let tc = ids.len();
             for &tid in ids {
                 let r = &mut token_reach[tid as usize];
@@ -206,19 +229,50 @@ impl CompiledDict {
             }
             counts_by_len[len as usize] |= 1u32 << tc.min(31);
         }
+        counts_by_len.shrink_to_fit();
         Self {
             tokens,
             arena,
             offsets,
             entities,
-            surfaces,
+            text,
+            text_offsets,
             char_lens,
             char_bags,
             order,
-            first_ranges,
+            first_starts,
             max_tokens,
             token_reach,
             counts_by_len,
+        }
+    }
+
+    /// Heap bytes held by the compiled dictionary, summed from its
+    /// buffers' capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.tokens.heap_bytes()
+            + self.text.capacity()
+            + 4 * (self.arena.capacity()
+                + self.offsets.capacity()
+                + self.text_offsets.capacity()
+                + self.char_lens.capacity()
+                + self.order.capacity()
+                + self.first_starts.capacity()
+                + self.counts_by_len.capacity())
+            + self.entities.capacity() * std::mem::size_of::<EntityId>()
+            + self.char_bags.capacity() * std::mem::size_of::<CharBag>()
+            + self.token_reach.capacity() * std::mem::size_of::<TokenReach>()
+    }
+
+    /// The `[start, end)` run of `order` holding the surfaces that
+    /// begin with token `first`, or `None` for a token outside the
+    /// vocabulary.
+    #[inline]
+    fn bucket(&self, first: u32) -> Option<(usize, usize)> {
+        let t = first as usize;
+        match self.first_starts.get(t..t + 2)? {
+            &[lo, hi] => Some((lo as usize, hi as usize)),
+            _ => None,
         }
     }
 
@@ -356,13 +410,15 @@ impl CompiledDict {
 
     /// The normalized surface string of `id`.
     pub fn surface(&self, id: SurfaceId) -> &str {
-        &self.surfaces[id.as_usize()]
+        let i = id.as_usize();
+        &self.text[self.text_offsets[i] as usize..self.text_offsets[i + 1] as usize]
     }
 
-    /// The surface string of `id` as a shared `Arc` — what match spans
-    /// carry, so emitting a span never copies the string.
+    /// The surface string of `id` as an `Arc` — what match spans and
+    /// window verdicts carry. It is copied out of the arena here, so
+    /// only an emitted match pays for it.
     pub fn surface_arc(&self, id: SurfaceId) -> Arc<str> {
-        Arc::clone(&self.surfaces[id.as_usize()])
+        Arc::from(self.surface(id))
     }
 
     /// Char length of surface `id` as recorded at build time.
@@ -385,18 +441,17 @@ impl CompiledDict {
     /// Iterates `(id, surface, entity)` in surface-id (lexicographic)
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (SurfaceId, &str, EntityId)> + '_ {
-        self.surfaces
-            .iter()
-            .zip(&self.entities)
-            .enumerate()
-            .map(|(i, (s, &e))| (SurfaceId::from_usize(i), s.as_ref(), e))
+        self.entities.iter().enumerate().map(|(i, &e)| {
+            let sid = SurfaceId::from_usize(i);
+            (sid, self.surface(sid), e)
+        })
     }
 
     /// Iterates the surface strings in surface-id order — the build
     /// input for candidate sources, whose proposal ids then coincide
     /// with surface ids.
     pub fn surface_strs(&self) -> impl Iterator<Item = &str> + '_ {
-        self.surfaces.iter().map(AsRef::as_ref)
+        (0..self.len()).map(|i| self.surface(SurfaceId::from_usize(i)))
     }
 
     /// Exact lookup of a token-id window. This is the segmenter's
@@ -404,9 +459,8 @@ impl CompiledDict {
     /// then a binary search of integer-slice compares. No allocation,
     /// no string hashing.
     pub fn get(&self, window: &[u32]) -> Option<SurfaceId> {
-        let &first = window.first()?;
-        let &(lo, hi) = self.first_ranges.get(first as usize)?;
-        let bucket = &self.order[lo as usize..hi as usize];
+        let (lo, hi) = self.bucket(*window.first()?)?;
+        let bucket = &self.order[lo..hi];
         bucket
             .binary_search_by(|&sid| {
                 let (a, b) = (self.offsets[sid as usize], self.offsets[sid as usize + 1]);
@@ -434,9 +488,7 @@ impl CompiledDict {
     /// the exact-only segmenter's per-position probe — strictly less
     /// work than one binary search per window length.
     pub fn longest_match(&self, ids: &[u32], max_len: usize) -> Option<(usize, SurfaceId)> {
-        let &first = ids.first()?;
-        let &(lo, hi) = self.first_ranges.get(first as usize)?;
-        let (mut lo, mut hi) = (lo as usize, hi as usize);
+        let (mut lo, mut hi) = self.bucket(*ids.first()?)?;
         let mut best = None;
         let max_len = max_len.min(ids.len());
         let mut depth = 1;
@@ -474,9 +526,7 @@ impl CompiledDict {
         max_len: usize,
         keep: impl Fn(u32) -> bool,
     ) -> Option<(usize, SurfaceId)> {
-        let &first = ids.first()?;
-        let &(lo, hi) = self.first_ranges.get(first as usize)?;
-        let (mut lo, mut hi) = (lo as usize, hi as usize);
+        let (mut lo, mut hi) = self.bucket(*ids.first()?)?;
         let mut best = None;
         let max_len = max_len.min(ids.len());
         let mut depth = 1;
@@ -626,6 +676,19 @@ mod tests {
         assert_eq!(d.len(), 2);
         // Both ids carry the duplicate; lookup returns one of them.
         assert!(d.get_str("same").is_some());
+    }
+
+    #[test]
+    fn tokenless_surfaces_sort_before_every_bucket() {
+        let d = CompiledDict::build(vec![
+            ("  ".into(), EntityId::new(9)),
+            ("a b".into(), EntityId::new(0)),
+            ("b".into(), EntityId::new(1)),
+        ]);
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.entity(d.get_str("a b").unwrap()), EntityId::new(0));
+        assert_eq!(d.entity(d.get_str("b").unwrap()), EntityId::new(1));
+        assert_eq!(d.get_str("a"), None);
     }
 
     #[test]

@@ -484,6 +484,22 @@ impl FuzzyDictionary {
         &self.dict
     }
 
+    /// Heap bytes of the candidate sources, each counted once however
+    /// many chain entries share it. The compiled dictionary is the
+    /// matcher's and is not included.
+    pub fn heap_bytes(&self) -> usize {
+        let mut seen: Vec<*const ()> = Vec::new();
+        let mut bytes = 0;
+        for entry in &self.sources {
+            let ptr = Arc::as_ptr(&entry.source).cast::<()>();
+            if !seen.contains(&ptr) {
+                seen.push(ptr);
+                bytes += entry.source.heap_bytes();
+            }
+        }
+        bytes
+    }
+
     /// Names of the candidate sources, in consultation order.
     pub fn source_names(&self) -> Vec<&'static str> {
         self.sources.iter().map(|s| s.source.name()).collect()
@@ -1245,6 +1261,9 @@ mod tests {
             }
             fn propose(&self, _query: &str, _max_dist: usize, out: &mut Vec<u32>) {
                 out.extend(self.0.iter().rev());
+            }
+            fn heap_bytes(&self) -> usize {
+                self.0.capacity() * 4
             }
         }
         let mut d = FuzzyDictionary::build(

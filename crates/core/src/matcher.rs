@@ -216,30 +216,47 @@ impl EntityMatcher {
     /// are normalized; a surface claimed by two entities is dropped
     /// entirely (an ambiguous surface cannot resolve a query).
     pub fn from_pairs<S: AsRef<str>>(pairs: impl IntoIterator<Item = (S, EntityId)>) -> Self {
-        let mut surfaces: websyn_common::FxHashMap<String, EntityId> = Default::default();
-        let mut banned: websyn_common::FxHashSet<String> = Default::default();
+        // Every normalized surface goes into one arena; sorting the rows
+        // by (surface, entity) puts each surface's claims in one run,
+        // already in surface-id order, and a run whose first and last
+        // entity differ is ambiguous.
+        let mut text = String::new();
+        let mut rows: Vec<(u32, u32, EntityId)> = Vec::new();
+        let offset = |at: usize| u32::try_from(at).expect("dictionary text overflow");
         for (raw, entity) in pairs {
-            let surface = normalize(raw.as_ref());
-            if surface.is_empty() || banned.contains(&surface) {
+            let surface = normalized(raw.as_ref());
+            if surface.is_empty() {
                 continue;
             }
-            match surfaces.get(&surface) {
-                None => {
-                    surfaces.insert(surface, entity);
-                }
-                Some(&existing) if existing == entity => {}
-                Some(_) => {
-                    surfaces.remove(&surface);
-                    banned.insert(surface);
-                }
-            }
+            let start = offset(text.len());
+            text.push_str(&surface);
+            rows.push((start, offset(text.len()), entity));
         }
-        let dict = CompiledDict::build(surfaces.into_iter().collect());
+        let surface = |&(a, b, _): &(u32, u32, EntityId)| &text[a as usize..b as usize];
+        rows.sort_unstable_by(|x, y| surface(x).cmp(surface(y)).then(x.2.cmp(&y.2)));
+        // Keep each unambiguous run's first row, in place.
+        let (mut kept, mut ambiguous_dropped) = (0, 0);
+        let mut start = 0;
+        while start < rows.len() {
+            let run = surface(&rows[start]);
+            let end = start
+                + rows[start..]
+                    .iter()
+                    .take_while(|r| surface(r) == run)
+                    .count();
+            if rows[start].2 == rows[end - 1].2 {
+                rows[kept] = rows[start];
+                kept += 1;
+            } else {
+                ambiguous_dropped += 1;
+            }
+            start = end;
+        }
+        rows.truncate(kept);
+        let dict = CompiledDict::from_sorted(rows.iter().map(|r| (surface(r), r.2)));
         Self {
             dict: Arc::new(dict),
-            // Each banned surface was dropped exactly once, however
-            // many conflicting claims arrived for it.
-            ambiguous_dropped: banned.len(),
+            ambiguous_dropped,
             fuzzy: None,
             window_cache: None,
             overlay: None,
@@ -353,6 +370,15 @@ impl EntityMatcher {
     /// dictionary?" test — see `websyn_serve::Engine`.
     pub fn shared_dict(&self) -> Arc<CompiledDict> {
         Arc::clone(&self.dict)
+    }
+
+    /// Heap bytes of the dictionary this matcher serves — the compiled
+    /// surfaces, every candidate index and, when attached, the delta
+    /// overlay — summed from buffer capacities. Caches are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.dict.heap_bytes()
+            + self.fuzzy.as_ref().map_or(0, FuzzyDictionary::heap_bytes)
+            + self.overlay.as_ref().map_or(0, |ov| ov.heap_bytes())
     }
 
     /// Number of distinct *live* surfaces: the base dictionary, minus
@@ -555,7 +581,7 @@ impl EntityMatcher {
             let id: u32 = id.parse().map_err(|e| {
                 websyn_common::Error::codec(format!("line {}: bad entity id: {e}", lineno + 1))
             })?;
-            pairs.push((surface.to_string(), EntityId::new(id)));
+            pairs.push((surface, EntityId::new(id)));
         }
         let matcher = Self::from_pairs(pairs);
         Ok(match fuzzy {

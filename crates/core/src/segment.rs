@@ -51,10 +51,9 @@ use crate::dict::UNKNOWN_TOKEN;
 use crate::fuzzy::FuzzyConfig;
 use crate::matcher::EntityMatcher;
 use crate::stamp::Stamp;
-use crate::window_cache::WindowCache;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use websyn_common::{EntityId, FxHashMap};
+use websyn_common::{EntityId, FxHashMap, SurfaceId};
 use websyn_text::normalize;
 
 /// Footprints older than this many commits are dropped from the
@@ -347,6 +346,11 @@ impl OverlayState {
             .is_some_and(|w| w & (1 << (tok & 63)) != 0)
     }
 
+    /// Heap bytes of the overlay's compiled dictionary and bitsets.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.matcher.heap_bytes() + (self.shadowed.capacity() + self.dead_tokens.capacity()) * 8
+    }
+
     /// Live surface count of the merged view.
     pub(crate) fn live_len(&self, base_len: usize) -> usize {
         base_len - self.shadowed_count + self.matcher.dict().len()
@@ -382,7 +386,7 @@ impl OverlayState {
             // surfaces only: one linear pass over the arena.
             let mut live = vec![0u64; dict.n_tokens().div_ceil(64)];
             live_max_tokens = 0;
-            for (sid, _, _) in dict.iter() {
+            for sid in (0..dict.len()).map(SurfaceId::from_usize) {
                 let raw = sid.raw();
                 if shadowed[raw as usize >> 6] & (1 << (raw & 63)) != 0 {
                     continue;
@@ -571,6 +575,9 @@ pub struct DictStats {
     pub revision: u64,
     /// Completed compactions (foreground and background).
     pub compactions: u64,
+    /// Heap bytes of the served dictionary, base plus overlay
+    /// ([`EntityMatcher::heap_bytes`]).
+    pub heap_bytes: usize,
 }
 
 /// An immutable base matcher plus an ordered chain of committed delta
@@ -614,6 +621,7 @@ impl SegmentedDict {
             log,
             stats: DictStats {
                 surfaces: base.dict().len(),
+                heap_bytes: base.heap_bytes(),
                 ..DictStats::default()
             },
         };
@@ -708,6 +716,7 @@ impl SegmentedDict {
             epoch: self.epoch,
             revision: log.revision,
             compactions: self.compactions,
+            heap_bytes: matcher.heap_bytes(),
         };
         self.view = Arc::new(DictView {
             log,
@@ -730,33 +739,15 @@ impl SegmentedDict {
         self.install_compacted(base, merged);
     }
 
-    /// An owned copy of everything a compaction compiles, so the
-    /// compile itself can run with no lock held.
+    /// Everything a compaction compiles, so the compile itself can run
+    /// with no lock held: a clone of the base (its compiled parts are
+    /// shared, not copied), the collapsed chain and the current log.
     fn compaction_input(&self) -> CompactionInput {
         CompactionInput {
-            pairs: self.merged_pairs(),
-            fuzzy: self.base.fuzzy_config().cloned(),
-            window_cache: self.base.window_cache().map(Arc::clone),
+            base: self.base.clone(),
+            overlay_map: self.overlay_map.clone(),
             log: Arc::clone(&self.view.log),
         }
-    }
-
-    /// The live merged surface set: non-shadowed base plus overlay
-    /// upserts.
-    pub fn merged_pairs(&self) -> Vec<(String, EntityId)> {
-        let mut pairs: Vec<(String, EntityId)> = self
-            .base
-            .dict()
-            .iter()
-            .filter(|(_, s, _)| !self.overlay_map.contains_key(*s))
-            .map(|(_, s, e)| (s.to_string(), e))
-            .collect();
-        pairs.extend(
-            self.overlay_map
-                .iter()
-                .filter_map(|(s, e)| e.map(|e| (s.clone(), e))),
-        );
-        pairs
     }
 
     /// Installs an already-compiled merged base and its serving
@@ -798,28 +789,38 @@ impl SegmentedDict {
     }
 }
 
-/// The merged surface set plus the base's build settings (fuzzy config,
-/// shared window cache) and the log it was copied at: the input of one
-/// compaction.
+/// The base, the collapsed chain over it and the log they were copied
+/// at: the input of one compaction.
 struct CompactionInput {
-    pairs: Vec<(String, EntityId)>,
-    fuzzy: Option<FuzzyConfig>,
-    window_cache: Option<Arc<WindowCache>>,
+    base: EntityMatcher,
+    overlay_map: FxHashMap<String, Option<EntityId>>,
     log: Arc<FootprintLog>,
 }
 
 impl CompactionInput {
-    /// Compiles the merged surface set as a standalone matcher,
-    /// carrying over the fuzzy config, the shared window cache and the
-    /// log, so it serves the windows cached at the copied revision.
+    /// Compiles the live merged surface set — non-shadowed base
+    /// surfaces plus overlay upserts, read in place — as a standalone
+    /// matcher, carrying over the base's fuzzy config and shared
+    /// window cache and the log, so it serves the windows cached at the
+    /// copied revision.
     fn compile(self) -> EntityMatcher {
-        let m = EntityMatcher::from_pairs(self.pairs);
-        let m = match self.fuzzy {
-            Some(config) => m.with_fuzzy(config),
+        let live_base = self
+            .base
+            .dict()
+            .iter()
+            .filter(|(_, s, _)| !self.overlay_map.contains_key(*s))
+            .map(|(_, s, e)| (s, e));
+        let upserts = self
+            .overlay_map
+            .iter()
+            .filter_map(|(s, e)| e.map(|e| (s.as_str(), e)));
+        let m = EntityMatcher::from_pairs(live_base.chain(upserts));
+        let m = match self.base.fuzzy_config() {
+            Some(config) => m.with_fuzzy(config.clone()),
             None => m,
         };
-        let m = match self.window_cache {
-            Some(cache) => m.with_shared_window_cache(cache),
+        let m = match self.base.window_cache() {
+            Some(cache) => m.with_shared_window_cache(Arc::clone(cache)),
             None => m,
         };
         m.with_log(self.log)
@@ -1005,9 +1006,9 @@ impl HandleInner {
         out
     }
 
-    /// One background compaction. The merged surface set is copied
-    /// under the writers' lock; `compile` runs with no lock held, so
-    /// reads and commits proceed while it works; the result is
+    /// One background compaction. The base and the collapsed chain are
+    /// cloned under the writers' lock; `compile` runs with no lock
+    /// held, so reads and commits proceed while it works; the result is
     /// installed unless a commit or base replacement raced past the
     /// copy (then it is abandoned, and the next commit re-triggers).
     /// Whatever is retired — the old base, or an abandoned compile — is

@@ -30,7 +30,8 @@
 //! ([`websyn_text::kernel_dispatch_stats`]), result/window cache
 //! counters (including selective-invalidation promotions), the
 //! dictionary lifecycle (`websyn_dict_*`: segment count, live delta
-//! sizes, epoch/revision, compactions, deltas applied), per-class
+//! sizes, epoch/revision, compactions, deltas applied, and the served
+//! dictionary's heap bytes, refreshed at every publish), per-class
 //! reject counters and process uptime. All values are integers, so a
 //! router merging worker snapshots under `worker="N"` labels loses
 //! nothing.
@@ -323,6 +324,7 @@ pub fn prometheus_text(engine: &Engine) -> String {
     let dict = engine.dict_stats();
     for (name, kind, value) in [
         ("websyn_dict_surfaces", "gauge", dict.surfaces as u64),
+        ("websyn_dict_heap_bytes", "gauge", dict.heap_bytes as u64),
         ("websyn_dict_segments", "gauge", dict.segments as u64),
         (
             "websyn_dict_delta_upserts",
@@ -436,6 +438,40 @@ pub fn slow_json(engine: &Engine) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The value of an unlabelled series in a Prometheus exposition.
+    fn series(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing"))
+    }
+
+    #[test]
+    fn dict_heap_gauge_follows_every_publish() {
+        use websyn_common::EntityId;
+        use websyn_core::{DictDelta, DictHandle, EntityMatcher, FuzzyConfig};
+        let base = EntityMatcher::from_pairs(vec![
+            ("canon eos 350d", EntityId::new(0)),
+            ("nikon d80", EntityId::new(1)),
+        ])
+        .with_fuzzy(FuzzyConfig::default());
+        let base_bytes = base.heap_bytes();
+        let engine = crate::Engine::with_dict(DictHandle::new(base), Default::default());
+        let gauge = || series(&prometheus_text(&engine), "websyn_dict_heap_bytes") as usize;
+        assert!(base_bytes > 0);
+        assert_eq!(gauge(), base_bytes);
+        // A delta publishes base plus overlay.
+        let mut delta = DictDelta::new();
+        delta.upsert("indiana jones 4", EntityId::new(2));
+        engine.apply_delta(delta);
+        let with_overlay = engine.matcher().heap_bytes();
+        assert!(with_overlay > base_bytes);
+        assert_eq!(gauge(), with_overlay);
+        // A compaction folds the overlay into a new base.
+        engine.dict().compact();
+        assert_eq!(gauge(), engine.matcher().heap_bytes());
+        assert_ne!(gauge(), with_overlay);
+    }
 
     #[test]
     fn reject_classes_cover_every_variant() {

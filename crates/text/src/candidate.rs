@@ -52,6 +52,10 @@ pub trait CandidateSource {
     /// within this source's own output.
     fn propose(&self, query: &str, max_dist: usize, out: &mut Vec<u32>);
 
+    /// Heap bytes the source holds, summed from its buffers'
+    /// capacities — what the serving dictionary reports as its memory.
+    fn heap_bytes(&self) -> usize;
+
     /// Whether a query of `n_tokens` tokens at edit budget `max_dist`
     /// can produce a **within-budget** proposal even when none of its
     /// tokens occurs verbatim in an indexed surface. Content-free and
@@ -219,6 +223,17 @@ impl CandidateSource for AbbrevIndex {
         if let Some(ids) = self.forms.get(query) {
             out.extend_from_slice(ids);
         }
+    }
+
+    /// Estimated: the map's slots (one control byte each) plus every
+    /// key's and posting list's own buffer.
+    fn heap_bytes(&self) -> usize {
+        self.forms.capacity() * (std::mem::size_of::<(String, Vec<u32>)>() + 1)
+            + self
+                .forms
+                .iter()
+                .map(|(form, ids)| form.capacity() + ids.capacity() * 4)
+                .sum::<usize>()
     }
 }
 

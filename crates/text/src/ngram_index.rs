@@ -36,6 +36,19 @@
 //! every query window that misses the exact dictionary. A hash
 //! collision can only *add* a candidate (later rejected by
 //! verification), never lose one.
+//!
+//! # Layout
+//!
+//! The postings are one compressed-sparse-row (CSR) table: the distinct
+//! gram hashes in one sorted array (a few hundred bigrams, so a probe
+//! is a binary search over a cache-resident array), `u32` offsets per
+//! gram into one posting array, and each gram's surface count for the
+//! rarest-first probe order. A posting list is ascending, so it is
+//! stored as `u16` gaps between consecutive ids, with an escape for
+//! the rare gap that does not fit; a scan decodes it with one add per
+//! id. [`NgramIndex::build`] counts each gram's list in one pass over
+//! the surfaces and writes the lists in a second, with no per-gram
+//! allocation.
 
 use crate::candidate::CandidateSource;
 use websyn_common::FxHashMap;
@@ -64,8 +77,18 @@ use websyn_common::FxHashMap;
 pub struct NgramIndex {
     /// Gram size `n`.
     n: usize,
-    /// gram hash → ids of surfaces containing it, ascending.
-    postings: FxHashMap<u64, Vec<u32>>,
+    /// Distinct gram hashes, ascending; a gram's position indexes
+    /// `starts` and `counts`.
+    grams: Vec<u64>,
+    /// `postings[starts[g] .. starts[g + 1]]` encodes the ascending ids
+    /// of the surfaces containing gram `g` (see [`GAP_ESCAPE`]);
+    /// `grams.len() + 1` entries.
+    starts: Vec<u32>,
+    /// Number of surfaces containing gram `g` — its posting list's
+    /// length, which ranks the grams a probe scans.
+    counts: Vec<u32>,
+    /// Every gram's posting list, concatenated in gram order.
+    postings: Vec<u16>,
     /// Char length of each indexed surface (for the length filter).
     lengths: Vec<u32>,
     /// Grams one edit may destroy: `n` under Levenshtein edits, `n + 1`
@@ -73,6 +96,25 @@ pub struct NgramIndex {
     /// touches two characters, so it can break `n + 1` windows). Drives
     /// the prefix-probe count.
     per_edit_grams: usize,
+}
+
+/// Posting lists store each id as its gap from the previous id of the
+/// list (the first from 0) in one `u16`; a gap of `GAP_ESCAPE` or more
+/// is written as `GAP_ESCAPE` followed by the id itself, high half
+/// first. Lists are ascending and most gaps are small, so the lists
+/// take half the bytes of plain `u32` ids and decode in one add per
+/// id.
+const GAP_ESCAPE: u16 = u16::MAX;
+
+/// The encoded length of `id` after `prev` (`None` for a list's first
+/// id).
+#[inline]
+fn gap_units(prev: Option<u32>, id: u32) -> u32 {
+    if id - prev.unwrap_or(0) < u32::from(GAP_ESCAPE) {
+        1
+    } else {
+        3
+    }
 }
 
 /// FNV-1a over the chars of one padded gram window.
@@ -111,27 +153,106 @@ impl NgramIndex {
     /// signatures.
     pub fn build<S: AsRef<str>>(surfaces: impl IntoIterator<Item = S>, n: usize) -> Self {
         assert!(n > 0, "gram size must be positive");
-        let mut postings: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut lengths = Vec::new();
+        // Two passes over the surfaces' grams: the first counts each
+        // gram's surfaces and its list's encoded length, the second
+        // encodes each surface id into its grams' lists. Surfaces are
+        // visited in id order, so every list comes out ascending, and
+        // a gram repeated inside one surface is always its list's
+        // latest id.
+        let surfaces: Vec<S> = surfaces.into_iter().collect();
+        let mut lengths = Vec::with_capacity(surfaces.len());
         let mut buf = Vec::new();
-        for (id, surface) in surfaces.into_iter().enumerate() {
+        // gram → its slot, in first-seen order during the first pass,
+        // then → its position in `grams`.
+        let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
+        // Per slot: (surface count, encoded units, latest id).
+        let mut tally: Vec<(u32, u32, Option<u32>)> = Vec::new();
+        for (id, surface) in surfaces.iter().enumerate() {
             let surface = surface.as_ref();
             let id = u32::try_from(id).expect("more than u32::MAX surfaces");
             lengths.push(surface.chars().count() as u32);
             for_each_gram(surface, n, &mut buf, |gram| {
-                let ids = postings.entry(gram).or_default();
-                // Ids arrive in ascending order, so a duplicate gram
-                // within one surface is always the current tail entry.
-                if ids.last() != Some(&id) {
-                    ids.push(id);
+                let fresh = tally.len() as u32;
+                let slot = *slots.entry(gram).or_insert(fresh) as usize;
+                if slot == tally.len() {
+                    tally.push((0, 0, None));
                 }
+                let (count, units, latest) = &mut tally[slot];
+                if *latest != Some(id) {
+                    *units += gap_units(*latest, id);
+                    *count += 1;
+                    *latest = Some(id);
+                }
+            });
+        }
+        let mut grams: Vec<u64> = slots.keys().copied().collect();
+        grams.sort_unstable();
+        let mut starts = Vec::with_capacity(grams.len() + 1);
+        let mut counts = Vec::with_capacity(grams.len());
+        starts.push(0u32);
+        for (g, gram) in grams.iter().enumerate() {
+            let slot = slots.get_mut(gram).expect("counted gram");
+            let (count, units, _) = tally[*slot as usize];
+            counts.push(count);
+            starts.push(
+                starts[g]
+                    .checked_add(units)
+                    .expect("n-gram postings overflow u32 offsets"),
+            );
+            *slot = g as u32;
+        }
+        drop(tally);
+        // Per gram: (write cursor, latest id written).
+        let mut cursors: Vec<(u32, Option<u32>)> = starts.iter().map(|&s| (s, None)).collect();
+        let mut postings = vec![0u16; starts[grams.len()] as usize];
+        for (id, surface) in surfaces.iter().enumerate() {
+            let id = id as u32;
+            for_each_gram(surface.as_ref(), n, &mut buf, |gram| {
+                let (cursor, latest) = &mut cursors[slots[&gram] as usize];
+                if *latest == Some(id) {
+                    return;
+                }
+                let at = *cursor as usize;
+                if gap_units(*latest, id) == 1 {
+                    postings[at] = (id - latest.unwrap_or(0)) as u16;
+                } else {
+                    postings[at..at + 3].copy_from_slice(&[
+                        GAP_ESCAPE,
+                        (id >> 16) as u16,
+                        id as u16,
+                    ]);
+                }
+                *cursor += gap_units(*latest, id);
+                *latest = Some(id);
             });
         }
         Self {
             n,
+            grams,
+            starts,
+            counts,
             postings,
             lengths,
             per_edit_grams: n,
+        }
+    }
+
+    /// Calls `f` with the id of every surface containing gram `g` (an
+    /// index into `grams`), ascending.
+    #[inline]
+    fn for_each_id(&self, g: usize, mut f: impl FnMut(u32)) {
+        // An iterator, not indexing: the scan is the n-gram source's
+        // hottest loop, and indexing pays a bounds check per unit.
+        let mut list = self.postings[self.starts[g] as usize..self.starts[g + 1] as usize].iter();
+        let mut id = 0u32;
+        while let Some(&gap) = list.next() {
+            if gap == GAP_ESCAPE {
+                let mut half = || u32::from(*list.next().expect("an escape has two halves"));
+                id = half() << 16 | half();
+            } else {
+                id += u32::from(gap);
+            }
+            f(id);
         }
     }
 
@@ -165,7 +286,7 @@ impl NgramIndex {
 
     /// Number of distinct grams in the index.
     pub fn n_grams(&self) -> usize {
-        self.postings.len()
+        self.grams.len()
     }
 
     /// Char length of surface `id` as recorded at build time.
@@ -196,7 +317,7 @@ impl NgramIndex {
         // scratch rather than per-call allocations.
         thread_local! {
             #[allow(clippy::type_complexity)]
-            static SCRATCH: std::cell::RefCell<(Vec<char>, Vec<u64>, Vec<(u32, u64)>)> =
+            static SCRATCH: std::cell::RefCell<(Vec<char>, Vec<u64>, Vec<(u32, u32)>)> =
                 const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
         }
         SCRATCH.with_borrow_mut(|(buf, grams, ranked)| {
@@ -220,27 +341,24 @@ impl NgramIndex {
             // scratch — no allocation, no full sort.
             let probe_count = (max_dist * self.per_edit_grams + 1).min(grams.len());
             ranked.clear();
-            ranked.extend(grams.iter().map(|&g| {
-                let len = self.postings.get(&g).map_or(0, |ids| ids.len()) as u32;
-                (len, g)
+            ranked.extend(grams.iter().map(|g| match self.grams.binary_search(g) {
+                Ok(i) => (self.counts[i], i as u32),
+                Err(_) => (0, u32::MAX),
             }));
             if ranked.len() > probe_count {
                 ranked.select_nth_unstable(probe_count - 1);
                 ranked.truncate(probe_count);
             }
             let start = out.len();
-            for &(len, gram) in ranked.iter() {
+            for &(len, g) in ranked.iter() {
                 if len == 0 {
                     continue;
                 }
-                let Some(ids) = self.postings.get(&gram) else {
-                    continue;
-                };
-                for &id in ids {
+                self.for_each_id(g as usize, |id| {
                     if self.lengths[id as usize].abs_diff(q_len) <= max_dist as u32 {
                         out.push(id);
                     }
-                }
+                });
             }
             // Sort + dedup only the region this call appended, so the
             // buffer contract (append, never disturb) holds.
@@ -265,7 +383,16 @@ impl CandidateSource for NgramIndex {
     fn propose(&self, query: &str, max_dist: usize, out: &mut Vec<u32>) {
         self.candidates_into(query, max_dist, out);
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.grams.capacity() * 8
+            + self.postings.capacity() * 2
+            + (self.starts.capacity() + self.counts.capacity() + self.lengths.capacity()) * 4
+    }
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {

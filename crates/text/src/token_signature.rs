@@ -47,6 +47,16 @@
 //! character counts; the resolver keeps the one array it shares with
 //! its verifier.
 //!
+//! # Layout
+//!
+//! The postings are one compressed-sparse-row (CSR) table: every posted
+//! run's text sits in one arena behind a `u32` open-addressing table
+//! ([`websyn_common::StringInterner`]), which maps a probe to a run
+//! id; `u32` offsets per run id delimit that run's slice of one
+//! occurrence array. The whole index is a handful of flat arrays,
+//! however many runs it posts, and [`TokenSignatureIndex::build`]
+//! fills them by counting, not by growing one list per run.
+//!
 //! The index is a *filter* in the same sense as the n-gram index:
 //! proposals must still be verified, and a window whose every token
 //! was damaged beyond the space cases above may propose nothing (the
@@ -55,7 +65,7 @@
 //! [`crate::candidate::CandidateSource`].
 
 use crate::candidate::{CandidateSource, PrefixHit};
-use websyn_common::FxHashMap;
+use websyn_common::StringInterner;
 
 /// One occurrence of a posted key inside a surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +102,15 @@ struct Occurrence {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TokenSignatureIndex {
-    /// token text / de-spaced pair text → occurrences, in ascending
-    /// (surface, offset) order.
-    postings: FxHashMap<Box<str>, Vec<Occurrence>>,
+    /// Posted runs (token text / de-spaced pair text), one arena behind
+    /// a `u32` table; a run's id indexes `starts`.
+    keys: StringInterner<u32>,
+    /// `occurrences[starts[k] .. starts[k + 1]]` are run `k`'s
+    /// occurrences, in ascending (surface, offset) order; `keys.len() + 1`
+    /// entries.
+    starts: Vec<u32>,
+    /// Every run's occurrences, concatenated in run-id order.
+    occurrences: Vec<Occurrence>,
     /// Char length of each surface, by id.
     lengths: Vec<u32>,
     /// Token count of each surface, by id.
@@ -148,53 +164,105 @@ fn token_offsets(s: &str, out: &mut Vec<TokenPos>) {
     }
 }
 
+/// Calls `f(run, char offset)` for every run `surface` posts, in
+/// posting order: each token, then the de-spaced pair it starts (the
+/// space-damage anchor). `tokens` are the surface's
+/// [`token_offsets`]; `despaced` is scratch.
+fn for_each_run(
+    surface: &str,
+    tokens: &[TokenPos],
+    despaced: &mut String,
+    mut f: impl FnMut(&str, u32),
+) {
+    for (i, a) in tokens.iter().enumerate() {
+        let token = &surface[a.byte_start as usize..a.byte_end as usize];
+        f(token, a.char_start);
+        if let Some(b) = tokens.get(i + 1) {
+            despaced.clear();
+            despaced.push_str(token);
+            despaced.push_str(&surface[b.byte_start as usize..b.byte_end as usize]);
+            f(despaced, a.char_start);
+        }
+    }
+}
+
 impl TokenSignatureIndex {
     /// Indexes `surfaces`. Ids are build-order positions. Empty
     /// surfaces are kept (they occupy an id) but post no keys and are
     /// never proposed.
+    ///
+    /// Two passes, no per-run allocation: the first interns every run a
+    /// surface posts and records the run ids in posting order; the
+    /// second is a counting sort that writes each occurrence into its
+    /// run's slice. Both passes visit surfaces (and, inside one,
+    /// offsets) ascending, so each slice comes out
+    /// (surface, offset)-sorted.
     pub fn build<S: AsRef<str>>(surfaces: impl IntoIterator<Item = S>) -> Self {
-        let mut postings: FxHashMap<Box<str>, Vec<Occurrence>> = FxHashMap::default();
-        let mut lengths = Vec::new();
-        let mut token_counts = Vec::new();
+        let surfaces: Vec<S> = surfaces.into_iter().collect();
+        let mut keys: StringInterner<u32> = StringInterner::new();
+        let mut lengths = Vec::with_capacity(surfaces.len());
+        let mut token_counts = Vec::with_capacity(surfaces.len());
+        let mut posted: Vec<u32> = Vec::new();
         let mut tokens: Vec<TokenPos> = Vec::new();
         let mut despaced = String::new();
-        for (id, surface) in surfaces.into_iter().enumerate() {
+        for surface in &surfaces {
             let surface = surface.as_ref();
-            let id = u32::try_from(id).expect("more than u32::MAX surfaces");
             token_offsets(surface, &mut tokens);
             lengths.push(surface.chars().count() as u32);
             token_counts.push(tokens.len() as u32);
-            for (i, a) in tokens.iter().enumerate() {
-                let token = &surface[a.byte_start as usize..a.byte_end as usize];
-                postings
-                    .entry(Box::from(token))
-                    .or_default()
-                    .push(Occurrence {
-                        surface: id,
-                        offset: a.char_start,
-                    });
-                // De-spaced adjacent pair: the space-damage anchor.
-                if let Some(b) = tokens.get(i + 1) {
-                    despaced.clear();
-                    despaced.push_str(token);
-                    despaced.push_str(&surface[b.byte_start as usize..b.byte_end as usize]);
-                    postings
-                        .entry(Box::from(despaced.as_str()))
-                        .or_default()
-                        .push(Occurrence {
-                            surface: id,
-                            offset: a.char_start,
-                        });
-                }
-            }
+            for_each_run(surface, &tokens, &mut despaced, |run, _| {
+                posted.push(keys.intern(run));
+            });
         }
-        // Build order visits surfaces ascending, so each posting list
-        // is already (surface, offset)-sorted.
+        keys.shrink_to_fit();
+        assert!(
+            u32::try_from(posted.len()).is_ok(),
+            "token-signature postings overflow u32 offsets"
+        );
+        let mut starts = vec![0u32; keys.len() + 1];
+        for &key in &posted {
+            starts[key as usize + 1] += 1;
+        }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let mut occurrences = vec![
+            Occurrence {
+                surface: 0,
+                offset: 0,
+            };
+            posted.len()
+        ];
+        let mut cursors = starts.clone();
+        let mut next = posted.iter();
+        for (id, surface) in surfaces.iter().enumerate() {
+            let surface = surface.as_ref();
+            let id = u32::try_from(id).expect("more than u32::MAX surfaces");
+            token_offsets(surface, &mut tokens);
+            for_each_run(surface, &tokens, &mut despaced, |_, offset| {
+                let key = *next.next().expect("one run id per posted run");
+                let cursor = &mut cursors[key as usize];
+                occurrences[*cursor as usize] = Occurrence {
+                    surface: id,
+                    offset,
+                };
+                *cursor += 1;
+            });
+        }
         Self {
-            postings,
+            keys,
+            starts,
+            occurrences,
             lengths,
             token_counts,
         }
+    }
+
+    /// The occurrences of run `key`, or `None` when nothing posts it.
+    #[inline]
+    fn postings(&self, key: &str) -> Option<&[Occurrence]> {
+        let k = self.keys.get(key)? as usize;
+        Some(&self.occurrences[self.starts[k] as usize..self.starts[k + 1] as usize])
     }
 
     /// Number of indexed surfaces.
@@ -209,7 +277,7 @@ impl TokenSignatureIndex {
 
     /// Number of distinct posted runs.
     pub fn n_runs(&self) -> usize {
-        self.postings.len()
+        self.keys.len()
     }
 
     /// Char length of surface `id` as recorded at build time.
@@ -266,7 +334,7 @@ impl TokenSignatureIndex {
             // tokens hitting a de-spaced pair key.
             for a in tokens.iter() {
                 let token = &query[a.byte_start as usize..a.byte_end as usize];
-                if let Some(occurrences) = self.postings.get(token) {
+                if let Some(occurrences) = self.postings(token) {
                     filter_push(occurrences, a.char_start, out);
                 }
             }
@@ -281,7 +349,7 @@ impl TokenSignatureIndex {
                 for t in tokens.iter() {
                     despaced.push_str(&query[t.byte_start as usize..t.byte_end as usize]);
                 }
-                if let Some(occurrences) = self.postings.get(despaced.as_str()) {
+                if let Some(occurrences) = self.postings(despaced) {
                     filter_push(occurrences, 0, out);
                 }
             }
@@ -307,6 +375,12 @@ impl CandidateSource for TokenSignatureIndex {
 
     fn propose(&self, query: &str, max_dist: usize, out: &mut Vec<u32>) {
         self.candidates_into(query, max_dist, out);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.keys.heap_bytes()
+            + (self.starts.capacity() + self.lengths.capacity() + self.token_counts.capacity()) * 4
+            + self.occurrences.capacity() * std::mem::size_of::<Occurrence>()
     }
 
     /// One probe pass for every token-aligned prefix window of
@@ -367,7 +441,7 @@ impl CandidateSource for TokenSignatureIndex {
             };
             for (ti, a) in tokens.iter().enumerate() {
                 let token = &query[a.byte_start as usize..a.byte_end as usize];
-                if let Some(occurrences) = self.postings.get(token) {
+                if let Some(occurrences) = self.postings(token) {
                     collect(occurrences, a.char_start, ti as u32, out);
                 }
             }
@@ -377,7 +451,7 @@ impl CandidateSource for TokenSignatureIndex {
             for t in &tokens[..2] {
                 despaced.push_str(&query[t.byte_start as usize..t.byte_end as usize]);
             }
-            if let Some(occurrences) = self.postings.get(despaced.as_str()) {
+            if let Some(occurrences) = self.postings(despaced) {
                 collect(occurrences, 0, PrefixHit::DESPACED, out);
             }
         });
@@ -447,6 +521,9 @@ impl CandidateSource for TokenSignatureIndex {
         (n_tokens == 2 && max_dist >= 1) || (n_tokens == 3 && max_dist >= 2)
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {

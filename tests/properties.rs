@@ -247,6 +247,51 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `from_pairs` dedupes by sorting normalized rows; it must keep
+    /// exactly the surfaces the hash-map dedupe it replaced keeps (each
+    /// surface whose every claim names one entity), in the same id
+    /// order, and count the same ambiguous drops.
+    #[test]
+    fn from_pairs_dedupes_like_a_hash_map(
+        pairs in proptest::collection::vec(("[aB é-]{0,4}", 0u32..3), 0..30),
+    ) {
+        use websyn::common::{EntityId, FxHashMap, FxHashSet};
+        use websyn::text::normalize;
+
+        let mut surfaces: FxHashMap<String, EntityId> = FxHashMap::default();
+        let mut banned: FxHashSet<String> = FxHashSet::default();
+        for (raw, entity) in &pairs {
+            let (surface, entity) = (normalize(raw), EntityId::new(*entity));
+            if surface.is_empty() || banned.contains(&surface) {
+                continue;
+            }
+            match surfaces.get(&surface) {
+                None => {
+                    surfaces.insert(surface, entity);
+                }
+                Some(&existing) if existing == entity => {}
+                Some(_) => {
+                    surfaces.remove(&surface);
+                    banned.insert(surface);
+                }
+            }
+        }
+        let mut want: Vec<(String, EntityId)> = surfaces.into_iter().collect();
+        want.sort_unstable();
+
+        let m = websyn::core::EntityMatcher::from_pairs(
+            pairs.iter().map(|(s, e)| (s.as_str(), EntityId::new(*e))),
+        );
+        let got: Vec<(String, EntityId)> =
+            m.dict().iter().map(|(_, s, e)| (s.to_string(), e)).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(m.ambiguous_dropped(), banned.len());
+    }
+}
+
 #[test]
 fn matcher_segmentation_never_overlaps() {
     use websyn::core::EntityMatcher;
